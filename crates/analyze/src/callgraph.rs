@@ -32,7 +32,7 @@
 //! reachability closures drive the [`crate::hotpath`],
 //! [`crate::concurrency`], and effect-inference passes; the
 //! serializable projection ([`CallGraphReport`]) is emitted in
-//! `analyze --json` and validated by `commorder-check`'s `CHK1102`.
+//! `analyze --json`; its invariants are asserted in `tests/invariants.rs`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

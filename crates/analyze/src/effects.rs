@@ -17,7 +17,7 @@
 //!    callees-first, every member of a component takes the union of
 //!    the component's local bits and all callee masks, so
 //!    `mask[caller] ⊇ mask[callee]` holds over every edge — the
-//!    monotonicity invariant `commorder-check`'s `CHK1103` replays.
+//!    monotonicity invariant `tests/invariants.rs` asserts.
 //!
 //! Each inherited bit carries provenance: `via[u][b]` is the first
 //! callee on a *shortest* path from `u` to a local source of bit `b`
@@ -196,7 +196,7 @@ pub fn compute(crates: &[CrateData], graph: &CallGraph) -> Effects {
 
 impl Effects {
     /// The serializable projection consumed by `render_json`: one row
-    /// per effectful node plus the stats `CHK1103` re-derives.
+    /// per effectful node plus the stats `tests/invariants.rs` re-derives.
     #[must_use]
     pub fn to_report(&self) -> EffectsReport {
         let mut rows = Vec::new();

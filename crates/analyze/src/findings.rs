@@ -188,8 +188,7 @@ impl AnalysisReport {
 
 /// Renders the `"callgraph"` section: multi-line node and edge arrays
 /// (one entry per line, like findings), single-line seed/SCC/stat
-/// objects. Byte layout is frozen by the golden fixtures and checked
-/// by `CHK1102`.
+/// objects. Byte layout is frozen by the golden fixtures.
 fn render_callgraph(out: &mut String, cg: &CallGraphReport) {
     out.push_str("  \"callgraph\": {\n");
     if cg.nodes.is_empty() {
@@ -246,8 +245,8 @@ fn render_callgraph(out: &mut String, cg: &CallGraphReport) {
 }
 
 /// Renders the `"effects"` section: the bit-name legend, one row per
-/// effectful node, and the stats `CHK1103` re-derives. Byte layout is
-/// frozen by the golden fixtures.
+/// effectful node, and the stats. Byte layout is frozen by the golden
+/// fixtures.
 fn render_effects(out: &mut String, fx: &EffectsReport) {
     out.push_str("  \"effects\": {\n");
     // The legend matches the effect pass's BIT_NAMES; spelled out

@@ -82,8 +82,8 @@ pub struct EdgeAnchor {
 /// top-level module or (`None`) its facade.
 pub type ReachNode = (usize, Option<String>);
 
-/// The serializable slice of the call graph emitted in `analyze --json`
-/// and validated by `commorder-check`'s `CHK1102`.
+/// The serializable slice of the call graph emitted in `analyze --json`;
+/// `tests/invariants.rs` asserts its invariants on this struct.
 ///
 /// Node strings are `<file>::<name>@<line>:<col>` where `<name>` is the
 /// bare function name, `Type::method`, or `parent::{closure}` for
@@ -135,7 +135,8 @@ pub struct EffectRow {
 }
 
 /// The serializable slice of the effect lattice emitted in
-/// `analyze --json` and validated by `commorder-check`'s `CHK1103`.
+/// `analyze --json`; `tests/invariants.rs` asserts its invariants on
+/// this struct.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct EffectsReport {
     /// Rows for every node with a non-zero mask, ascending by node.

@@ -7,6 +7,8 @@
 //! --source <fixture> --json`. A byte-exact comparison pins message
 //! wording, sort order, anchors, and the JSON framing all at once — the
 //! same framing the `CHK1101` validator in `commorder-check` audits.
+//! The structural invariants of the callgraph and effects sections are
+//! asserted on the in-memory report in `invariants.rs`.
 
 use std::path::PathBuf;
 

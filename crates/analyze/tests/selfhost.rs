@@ -32,17 +32,6 @@ fn selfhost_callgraph_meets_resolution_bar() {
         .as_ref()
         .expect("self-host emits a call graph");
 
-    // Stats invariants the CHK1102 validator also enforces.
-    assert_eq!(
-        g.resolved + g.external,
-        g.call_sites,
-        "every call site is either resolved or external"
-    );
-    assert!(
-        g.ambiguous <= g.resolved,
-        "ambiguous is a subset of resolved"
-    );
-
     // Acceptance bar: ≥96% of resolved intra-workspace call sites bind
     // unambiguously. Receiver typing (fields, params, lets, traits)
     // carries this; a regression in the resolver shows up here first.
@@ -60,7 +49,8 @@ fn selfhost_callgraph_meets_resolution_bar() {
     );
 
     // The three seed sets must find their entry points: an empty set
-    // means a pass silently checks nothing.
+    // means a pass silently checks nothing. Self-host only — fixture
+    // workspaces legitimately have empty seed sets.
     assert!(!g.seeds_determinism.is_empty(), "determinism seeds missing");
     assert!(!g.seeds_hotpath.is_empty(), "hot-path seeds missing");
     assert!(!g.seeds_worker.is_empty(), "worker seeds missing");

@@ -129,22 +129,10 @@ pub const NEXT_USE: &str = "CHK1003";
 
 /// Analyzer findings report (`xtask lint --json` /
 /// `commorder-cli analyze --source --json`) violates the published
-/// schema: malformed JSON framing, a bad field value, findings out of
+/// schema: malformed JSON framing (including a missing or truncated
+/// `callgraph`/`effects` section), a bad field value, findings out of
 /// sorted order, or header counts that disagree with the finding list.
 pub const ANALYZE_SCHEMA: &str = "CHK1101";
-/// Analyzer call-graph section violates its contract: malformed
-/// framing, an edge or seed referencing an undeclared node, unsorted
-/// or duplicated edges, an empty seed set, overlapping SCC
-/// components, a cycle the declared SCCs do not cover, or resolution
-/// stats that do not add up.
-pub const CALLGRAPH_SCHEMA: &str = "CHK1102";
-/// Analyzer effects section violates its contract: malformed framing,
-/// a wrong bit legend, rows out of order or referencing undeclared
-/// nodes, a local mask escaping its effect mask, a witness hop that is
-/// no call edge or whose target lacks the bit, a witness chain that
-/// does not terminate at a local source, an effect mask that shrinks
-/// over a call edge (monotonicity), or stats that do not add up.
-pub const EFFECTS_SCHEMA: &str = "CHK1103";
 
 /// Bench artifact (`xtask bench`) violates the published
 /// `commorder-bench.v2` framing: bad header lines, a malformed machine
@@ -333,14 +321,6 @@ pub const CODE_TABLE: &[CodeInfo] = &[
     CodeInfo {
         code: ANALYZE_SCHEMA,
         title: "analyzer findings report violates the schema",
-    },
-    CodeInfo {
-        code: CALLGRAPH_SCHEMA,
-        title: "analyzer call-graph section violates its contract",
-    },
-    CodeInfo {
-        code: EFFECTS_SCHEMA,
-        title: "analyzer effects section violates its contract",
     },
     CodeInfo {
         code: BENCH_SCHEMA,

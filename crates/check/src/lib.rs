@@ -38,10 +38,8 @@
 
 pub mod analyze;
 pub mod bench;
-pub mod callgraph;
 pub mod codes;
 pub mod diag;
-pub mod effects;
 pub mod ingest;
 pub mod matrix;
 pub mod perm;
@@ -59,5 +57,5 @@ pub use matrix::{
 };
 pub use perm::{check_assignment, check_permutation, check_permutation_parts};
 pub use stream::{check_next_use, check_stream_equivalence};
-pub use telemetry::{check_self_time, check_telemetry};
+pub use telemetry::{check_self_time, check_telemetry, parse_flat_object, Json};
 pub use trace::{check_cache_config, check_gpu_spec, check_trace};

@@ -26,9 +26,9 @@ use commorder_obs::{names, MetricKind};
 use crate::codes;
 use crate::diag::{Diagnostic, Location};
 
-/// A value in a flat (non-nested) telemetry JSON object.
+/// A value in a flat (non-nested) JSON object.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
+pub enum Json {
     /// A JSON string.
     Str(String),
     /// A JSON number.
@@ -163,9 +163,10 @@ impl<'a> Cursor<'a> {
 }
 
 /// Parses one line as a flat JSON object (string keys; string, number,
-/// boolean, or `null` values — the full value set `Event::to_jsonl` and
-/// the bench artifacts emit).
-pub(crate) fn parse_flat_object(line: &str) -> Result<Vec<(String, Json)>, String> {
+/// boolean, or `null` values — the full value set `Event::to_jsonl`,
+/// analyzer findings and the bench artifacts emit). This is the
+/// workspace's one JSON reader: every consumer reads one-line objects.
+pub fn parse_flat_object(line: &str) -> Result<Vec<(String, Json)>, String> {
     let mut cur = Cursor::new(line);
     cur.skip_ws();
     cur.expect(b'{')?;

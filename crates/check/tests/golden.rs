@@ -4,7 +4,6 @@
 //! shape shows up as a diff against `tests/golden/mini_corpus.json`.
 
 use commorder_cachesim::Access;
-use commorder_check::check_analyze_report;
 use commorder_check::matrix::{check_csr, check_csr_parts};
 use commorder_check::perm::check_permutation_parts;
 use commorder_check::trace::check_trace;
@@ -12,10 +11,6 @@ use commorder_check::CheckReport;
 use commorder_synth::corpus;
 
 const GOLDEN: &str = include_str!("golden/mini_corpus.json");
-const BAD_CALLGRAPH: &str = include_str!("golden/bad_callgraph.txt");
-const BAD_CALLGRAPH_GOLDEN: &str = include_str!("golden/bad_callgraph.json");
-const BAD_EFFECTS: &str = include_str!("golden/bad_effects.txt");
-const BAD_EFFECTS_GOLDEN: &str = include_str!("golden/bad_effects.json");
 
 fn build_report() -> CheckReport {
     let mut report = CheckReport::new();
@@ -55,53 +50,6 @@ fn mini_corpus_json_matches_golden() {
         got.trim(),
         GOLDEN.trim(),
         "checker JSON drifted; if intentional, regenerate with \
-         COMMORDER_UPDATE_GOLDEN=1 cargo test -p commorder-check --test golden"
-    );
-}
-
-#[test]
-fn bad_callgraph_report_matches_golden() {
-    let mut report = CheckReport::new();
-    report.extend(check_analyze_report(BAD_CALLGRAPH));
-    let got = report.render_json();
-    if std::env::var_os("COMMORDER_UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/bad_callgraph.json"
-        );
-        std::fs::write(path, format!("{}\n", got.trim())).expect("golden file writable");
-        return;
-    }
-    assert!(
-        report.codes().iter().all(|c| *c == "CHK1102"),
-        "every seeded violation is a callgraph-contract breach"
-    );
-    assert_eq!(
-        got.trim(),
-        BAD_CALLGRAPH_GOLDEN.trim(),
-        "CHK1102 diagnostics drifted; if intentional, regenerate with \
-         COMMORDER_UPDATE_GOLDEN=1 cargo test -p commorder-check --test golden"
-    );
-}
-
-#[test]
-fn bad_effects_report_matches_golden() {
-    let mut report = CheckReport::new();
-    report.extend(check_analyze_report(BAD_EFFECTS));
-    let got = report.render_json();
-    if std::env::var_os("COMMORDER_UPDATE_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/bad_effects.json");
-        std::fs::write(path, format!("{}\n", got.trim())).expect("golden file writable");
-        return;
-    }
-    assert!(
-        report.codes().iter().all(|c| *c == "CHK1103"),
-        "every seeded violation is an effects-contract breach"
-    );
-    assert_eq!(
-        got.trim(),
-        BAD_EFFECTS_GOLDEN.trim(),
-        "CHK1103 diagnostics drifted; if intentional, regenerate with \
          COMMORDER_UPDATE_GOLDEN=1 cargo test -p commorder-check --test golden"
     );
 }

@@ -10,13 +10,11 @@
 //! validate artifacts byte-by-byte (`CHK1201`/`CHK1202`) and so
 //! `git diff` over committed artifacts stays line-per-fact readable.
 //!
-//! [`BenchReport::parse`] reads v2 artifacts back and also accepts the
-//! two retired v1 schemas (`bench-analyze.v1`, `bench-reorder.v1`) for
-//! one release, mapping their flat keys onto the v2 metric names so
-//! `--compare` can gate against a baseline captured before the
-//! migration. [`compare`] implements the tolerance-banded regression
-//! gate: throughput metrics may not drop, cost metrics may not grow,
-//! and result fingerprints may not drift at all.
+//! [`BenchReport::parse`] (in [`crate::artifact`]) reads artifacts
+//! back through the check layer. [`compare`] implements the
+//! tolerance-banded regression gate: throughput metrics may not drop,
+//! cost metrics may not grow, and result fingerprints may not drift at
+//! all.
 
 use std::fmt::Write as _;
 
@@ -138,9 +136,9 @@ impl Machine {
         }
     }
 
-    /// Placeholder identity used when re-reading a v1 artifact, which
-    /// carried no machine record. Never triggers a hardware-drift
-    /// warning in [`compare`].
+    /// Placeholder identity, the same one [`Machine::detect`] reports on
+    /// a host without `/proc`. Never triggers a hardware-drift warning
+    /// in [`compare`].
     #[must_use]
     pub fn unknown() -> Self {
         Machine {
@@ -263,218 +261,6 @@ impl BenchReport {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Parses an artifact in any supported schema: `commorder-bench.v2`
-    /// natively, plus the retired `bench-analyze.v1` and
-    /// `bench-reorder.v1` flat formats (kept for one release so a
-    /// pre-migration baseline still gates).
-    pub fn parse(contents: &str) -> Result<Self, String> {
-        let schema = contents
-            .lines()
-            .find_map(|l| str_field(l, "schema"))
-            .ok_or_else(|| "artifact declares no \"schema\" field".to_string())?;
-        match schema.as_str() {
-            SCHEMA_V2 => parse_v2(contents),
-            "bench-analyze.v1" => parse_v1_analyze(contents),
-            "bench-reorder.v1" => parse_v1_reorder(contents),
-            other => Err(format!("unsupported bench schema {other:?}")),
-        }
-    }
-}
-
-/// Extracts the string value of `"key": "..."` (or `"key":"..."`) from
-/// one line; stops at the first closing quote, which is fine for the
-/// identifiers and hex digests these artifacts carry.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)?;
-    let rest = line[idx + pat.len()..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-/// Extracts the numeric value of `"key": N` from one line.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)?;
-    let rest = line[idx + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '+' | '-' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the boolean value of `"key": true|false` from one line.
-fn bool_field(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)?;
-    let rest = line[idx + pat.len()..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Parses a 16-digit hex fingerprint string field.
-fn hex_field(line: &str, key: &str) -> Option<u64> {
-    u64::from_str_radix(&str_field(line, key)?, 16).ok()
-}
-
-fn parse_v2(contents: &str) -> Result<BenchReport, String> {
-    let mut bench = None;
-    let mut machine = None;
-    let mut fingerprints = Vec::new();
-    let mut metrics = Vec::new();
-    #[derive(PartialEq)]
-    enum Section {
-        Head,
-        Fingerprints,
-        Metrics,
-    }
-    let mut section = Section::Head;
-    for (no, raw) in contents.lines().enumerate() {
-        let line = raw.trim();
-        match section {
-            Section::Head => {
-                if line.starts_with("\"bench\":") {
-                    bench = str_field(line, "bench");
-                } else if line.starts_with("\"machine\":") {
-                    machine = Some(Machine {
-                        cpu: str_field(line, "cpu")
-                            .ok_or(format!("line {}: machine has no cpu", no + 1))?,
-                        threads: num_field(line, "threads").unwrap_or(1.0) as u64,
-                        mem_total_kb: num_field(line, "mem_total_kb").unwrap_or(1.0) as u64,
-                    });
-                } else if line.starts_with("\"fingerprints\": [") {
-                    if !line.ends_with("[],") {
-                        section = Section::Fingerprints;
-                    }
-                } else if line.starts_with("\"metrics\": [") {
-                    section = Section::Metrics;
-                }
-            }
-            Section::Fingerprints => {
-                if line.starts_with(']') {
-                    section = Section::Head;
-                } else {
-                    fingerprints.push(Fingerprint {
-                        name: str_field(line, "name")
-                            .ok_or(format!("line {}: fingerprint row has no name", no + 1))?,
-                        value: hex_field(line, "value")
-                            .ok_or(format!("line {}: fingerprint row has no value", no + 1))?,
-                    });
-                }
-            }
-            Section::Metrics => {
-                if line.starts_with(']') {
-                    section = Section::Head;
-                } else {
-                    metrics.push(Metric {
-                        name: str_field(line, "name")
-                            .ok_or(format!("line {}: metric row has no name", no + 1))?,
-                        value: num_field(line, "value")
-                            .ok_or(format!("line {}: metric row has no value", no + 1))?,
-                        unit: str_field(line, "unit")
-                            .ok_or(format!("line {}: metric row has no unit", no + 1))?,
-                        higher_is_better: bool_field(line, "higher_is_better").ok_or(format!(
-                            "line {}: metric row has no higher_is_better",
-                            no + 1
-                        ))?,
-                    });
-                }
-            }
-        }
-    }
-    Ok(BenchReport {
-        bench: bench.ok_or("artifact has no bench name")?,
-        machine: machine.ok_or("artifact has no machine line")?,
-        fingerprints,
-        metrics,
-    })
-}
-
-/// Maps the retired `bench-analyze.v1` flat keys onto the v2 metric
-/// names `xtask bench` emits today, so old and new artifacts compare
-/// directly.
-fn parse_v1_analyze(contents: &str) -> Result<BenchReport, String> {
-    let mut report = BenchReport {
-        bench: "analyze".to_string(),
-        machine: Machine::unknown(),
-        fingerprints: Vec::new(),
-        metrics: Vec::new(),
-    };
-    for line in contents.lines() {
-        if let Some(v) = num_field(line, "tokens_per_second") {
-            report.metric("analyze.lex_tokens_per_second", v, "tokens/s", true);
-        }
-        if let Some(v) = num_field(line, "selfhost_seconds") {
-            report.metric("analyze.selfhost_seconds", v, "seconds", false);
-        }
-    }
-    if report.metrics.is_empty() {
-        return Err("v1 analyze artifact carries no recognised metrics".to_string());
-    }
-    Ok(report)
-}
-
-/// Maps the retired `bench-reorder.v1` nested format onto v2 names:
-/// per-technique permutation fingerprints, per-thread throughput and
-/// peak-RSS metrics, and the widest-vs-serial speedup.
-fn parse_v1_reorder(contents: &str) -> Result<BenchReport, String> {
-    let mut report = BenchReport {
-        bench: "reorder".to_string(),
-        machine: Machine::unknown(),
-        fingerprints: Vec::new(),
-        metrics: Vec::new(),
-    };
-    let mut tech = String::new();
-    for line in contents.lines() {
-        if let Some(v) = num_field(line, "generate_seconds") {
-            report.metric("reorder.generate_seconds", v, "seconds", false);
-        }
-        if let Some(hash) = hex_field(line, "permutation_fnv1a") {
-            tech = str_field(line, "name")
-                .ok_or("technique block has no name")?
-                .to_lowercase();
-            report.fingerprint(&format!("permutation.{tech}"), hash);
-        }
-        if let Some(v) = num_field(line, "speedup_widest_vs_serial") {
-            report.metric(
-                &format!("reorder.{tech}.speedup_widest_vs_serial"),
-                v,
-                "ratio",
-                true,
-            );
-        }
-        if let (Some(threads), Some(medges)) = (
-            num_field(line, "threads"),
-            num_field(line, "medges_per_second"),
-        ) {
-            let t = threads as u64;
-            report.metric(
-                &format!("reorder.{tech}.t{t}.medges_per_second"),
-                medges,
-                "Medges/s",
-                true,
-            );
-            if let Some(rss) = num_field(line, "peak_rss_kb") {
-                report.metric(
-                    &format!("reorder.{tech}.t{t}.peak_rss_kb"),
-                    rss,
-                    "kB",
-                    false,
-                );
-            }
-        }
-    }
-    if report.fingerprints.is_empty() {
-        return Err("v1 reorder artifact carries no technique blocks".to_string());
-    }
-    Ok(report)
 }
 
 /// Outcome of comparing a new bench report against a baseline.
@@ -707,67 +493,6 @@ mod tests {
         let outcome = compare(&old, &new, 0.30);
         assert!(outcome.is_pass());
         assert!(outcome.warnings.iter().any(|w| w.contains("machine")));
-        // A v1-derived unknown machine never warns.
-        let mut v1 = sample();
-        v1.machine = Machine::unknown();
-        assert!(compare(&v1, &old, 0.30).warnings.is_empty());
-    }
-
-    #[test]
-    fn v1_analyze_artifacts_map_onto_v2_names() {
-        let v1 = concat!(
-            "{\n",
-            "  \"schema\": \"bench-analyze.v1\",\n",
-            "  \"files\": 120,\n",
-            "  \"bytes\": 1048576,\n",
-            "  \"tokens\": 400000,\n",
-            "  \"lex_seconds\": 0.08,\n",
-            "  \"tokens_per_second\": 5000000,\n",
-            "  \"selfhost_seconds\": 0.5,\n",
-            "  \"findings\": 0\n",
-            "}\n",
-        );
-        let report = BenchReport::parse(v1).expect("v1 analyze parses");
-        assert_eq!(report.bench, "analyze");
-        assert_eq!(report.machine.cpu, "unknown");
-        assert_eq!(report.metrics.len(), 2);
-        assert_eq!(report.metrics[0].name, "analyze.lex_tokens_per_second");
-        assert!((report.metrics[0].value - 5_000_000.0).abs() < 1e-6);
-        assert_eq!(report.metrics[1].name, "analyze.selfhost_seconds");
-        assert!(!report.metrics[1].higher_is_better);
-    }
-
-    #[test]
-    fn v1_reorder_artifacts_map_onto_v2_names() {
-        let v1 = concat!(
-            "{\n",
-            "  \"schema\": \"bench-reorder.v1\",\n",
-            "  \"entry\": \"mega-kmer-chain-4m\",\n",
-            "  \"rows\": 4000000,\n",
-            "  \"nnz\": 12000000,\n",
-            "  \"generate_seconds\": 2.5,\n",
-            "  \"techniques\": [\n",
-            "    {\"name\": \"RABBIT\", \"permutation_fnv1a\": \"0123456789abcdef\", \
-             \"speedup_widest_vs_serial\": 3.1, \"runs\": [\n",
-            "        {\"threads\": 1, \"seconds\": 4.0, \"medges_per_second\": 3.0, \
-             \"peak_rss_kb\": 500000},\n",
-            "        {\"threads\": 8, \"seconds\": 1.3, \"medges_per_second\": 9.3, \
-             \"peak_rss_kb\": 600000}\n",
-            "      ]\n",
-            "    }\n",
-            "  ]\n",
-            "}\n",
-        );
-        let report = BenchReport::parse(v1).expect("v1 reorder parses");
-        assert_eq!(report.bench, "reorder");
-        assert_eq!(report.fingerprints.len(), 1);
-        assert_eq!(report.fingerprints[0].name, "permutation.rabbit");
-        assert_eq!(report.fingerprints[0].value, 0x0123_4567_89ab_cdef);
-        let names: Vec<&str> = report.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert!(names.contains(&"reorder.generate_seconds"));
-        assert!(names.contains(&"reorder.rabbit.speedup_widest_vs_serial"));
-        assert!(names.contains(&"reorder.rabbit.t1.medges_per_second"));
-        assert!(names.contains(&"reorder.rabbit.t8.peak_rss_kb"));
     }
 
     #[test]

@@ -25,9 +25,8 @@
 //! end-to-end suite wall time), writing one schema-versioned
 //! `BENCH_<name>.json` artifact per bench at the repository root
 //! (schema `commorder-bench.v2`, validated by `commorder-cli check`).
-//! `--compare OLD_DIR` re-reads baseline artifacts (v2, or the
-//! retired v1 formats for one release) and fails the process when a
-//! metric drifts beyond the tolerance band or a result fingerprint
+//! `--compare OLD_DIR` re-reads baseline artifacts and fails the
+//! process when a metric drifts beyond the tolerance band or a result fingerprint
 //! changes at all.
 
 #![forbid(unsafe_code)]
@@ -209,8 +208,7 @@ fn run_bench_task(root: &Path, args: &[String]) -> ExitCode {
     }
 }
 
-/// Gates the repo-root artifacts against baselines in `old_dir`
-/// (either at its top level or under a legacy `results/` subdirectory)
+/// Gates the repo-root artifacts against the baselines in `old_dir`
 /// and fails on any regression. Comparing nothing at all also fails —
 /// a gate that silently gates nothing is worse than no gate.
 fn compare_gate(root: &Path, old_dir: &Path, tolerance: f64) -> ExitCode {
@@ -218,16 +216,14 @@ fn compare_gate(root: &Path, old_dir: &Path, tolerance: f64) -> ExitCode {
     let mut compared = 0usize;
     for name in BENCH_NAMES {
         let file = format!("BENCH_{name}.json");
-        let Some(old_path) = [old_dir.join(&file), old_dir.join("results").join(&file)]
-            .into_iter()
-            .find(|p| p.is_file())
-        else {
+        let old_path = old_dir.join(&file);
+        if !old_path.is_file() {
             eprintln!(
                 "xtask bench: no baseline for {name} in {}; skipped",
                 old_dir.display()
             );
             continue;
-        };
+        }
         let new_path = root.join(&file);
         let pair = fs::read_to_string(&old_path)
             .and_then(|old| fs::read_to_string(&new_path).map(|new| (old, new)));

@@ -1,11 +1,11 @@
 //! Perf-trajectory integration: the `xtask bench` emitter, the
 //! `CHK12xx` artifact validators, the regression gate, and the
 //! deterministic flamegraph export must agree end to end. The emitter
-//! and the validator freeze the `commorder-bench.v2` framing
-//! independently (xtask cannot depend on `commorder-check` without
-//! inverting the layer order), so this cross-crate test is the one
-//! place a drift between them fails before CI pipes the artifacts
-//! through `commorder-cli check`.
+//! in xtask writes the `commorder-bench.v2` framing and reads it back
+//! through `commorder-check` (validator plus flat-object reader), so
+//! this cross-crate test is where a drift between the writer and the
+//! check layer fails before CI pipes the artifacts through
+//! `commorder-cli check`.
 
 use std::sync::Arc;
 
@@ -52,9 +52,16 @@ fn emitter_output_passes_the_chk12xx_validators() {
 
 #[test]
 fn render_parse_round_trip_is_byte_identical() {
-    let rendered = sample_report().render_json();
-    let reparsed = BenchReport::parse(&rendered).expect("own output parses");
-    assert_eq!(reparsed.render_json(), rendered);
+    // A CPU model carrying the two characters the renderer escapes must
+    // survive render -> parse -> render too.
+    let mut quoted = sample_report();
+    quoted.machine.cpu = "Test \"CPU\" \\ 2".to_string();
+    for report in [sample_report(), quoted] {
+        let rendered = report.render_json();
+        let reparsed = BenchReport::parse(&rendered).expect("own output parses");
+        assert_eq!(reparsed, report);
+        assert_eq!(reparsed.render_json(), rendered);
+    }
 }
 
 #[test]
