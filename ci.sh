@@ -42,6 +42,12 @@ echo "== tier-1: build + test"
 cargo build --release -q
 cargo test -q --workspace
 
+echo "== repository benchmark tests (perfbench)"
+# perfbench is a standalone package (its own [workspace]), so the
+# workspace test step above never runs its tests: the mini-tier smoke
+# runs of every workload that pin the benchmark's result fingerprints.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== suite smoke (--threads 4, deterministic report + telemetry)"
 COMMORDER_CORPUS=mini COMMORDER_MAX_MATRICES=3 \
   cargo run --release -q -p commorder --bin commorder-cli -- \

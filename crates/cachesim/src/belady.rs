@@ -12,8 +12,7 @@
 //! write-backs) matches [`LruCache`](crate::LruCache) so the statistics
 //! are directly comparable.
 
-use std::collections::{HashMap, HashSet};
-
+use crate::lines::{count_miss, Geometry, LineMap, LineSet, Ways};
 use crate::source::TraceSource;
 use crate::trace::Access;
 use crate::{CacheConfig, CacheStats};
@@ -115,14 +114,13 @@ impl NextUses {
 /// Pass one: forward replay patching each tag's previous access with the
 /// current index (equivalent to the classic backward pass, but it never
 /// needs the trace in memory).
-fn build_next_uses<S: TraceSource + ?Sized>(source: &S, config: &CacheConfig) -> NextUses {
+fn build_next_uses<S: TraceSource + ?Sized>(source: &S, geometry: &Geometry) -> NextUses {
     let mut next = NextUses::with_hint(source.len_hint());
-    let mut last_seen: HashMap<u64, u64> = HashMap::new();
+    let mut last_seen = LineMap::default();
     let mut i = 0u64;
     source.replay(&mut |acc| {
-        let (_, tag) = config.set_and_tag(acc.addr());
         next.push_never();
-        if let Some(prev) = last_seen.insert(tag, i) {
+        if let Some(prev) = last_seen.replace(geometry.line(acc.addr()), i) {
             next.set(prev as usize, i);
         }
         i += 1;
@@ -135,17 +133,8 @@ fn build_next_uses<S: TraceSource + ?Sized>(source: &S, config: &CacheConfig) ->
 /// tests and the CHK1003 monotone-consistency validator.
 #[must_use]
 pub fn next_use_indices(trace: &[Access], config: &CacheConfig) -> Vec<u64> {
-    let next = build_next_uses(trace, config);
+    let next = build_next_uses(trace, &Geometry::new(config));
     (0..trace.len()).map(|i| next.get(i)).collect()
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    next_use: u64,
-    dirty: bool,
-    reuses: u32,
-    valid: bool,
 }
 
 /// Simulates `source` under Belady's optimal replacement (two streaming
@@ -160,102 +149,69 @@ struct Way {
 /// [`CacheConfig::num_lines`]).
 #[must_use]
 pub fn simulate_belady<S: TraceSource + ?Sized>(config: CacheConfig, source: &S) -> CacheStats {
-    let next = build_next_uses(source, &config);
+    let geometry = Geometry::new(&config);
+    let next = build_next_uses(source, &geometry);
     crate::telemetry::record_trace_peak_bytes(next.bytes());
-    let assoc = config.associativity as usize;
-    let mut ways = vec![
-        Way {
-            tag: 0,
-            next_use: NEVER,
-            dirty: false,
-            reuses: 0,
-            valid: false,
-        };
-        config.num_lines()
-    ];
+    let assoc = geometry.assoc;
+    let mut ways = Ways::new(&geometry);
+    // Next use of each slot's resident (parallel to `ways`).
+    let mut next_use = vec![NEVER; geometry.lines()];
     let mut stats = CacheStats {
         line_bytes: config.line_bytes,
         ..CacheStats::default()
     };
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen = LineSet::default();
 
     let mut i = 0usize;
     source.replay(&mut |acc| {
         let ni = next.get(i);
         i += 1;
         stats.accesses += 1;
-        let (set, tag) = config.set_and_tag(acc.addr());
-        let slice = &mut ways[set * assoc..(set + 1) * assoc];
-        if let Some(w) = slice.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.next_use = ni;
-            w.reuses += 1;
-            w.dirty |= acc.is_write();
+        let write = acc.is_write();
+        let line = geometry.line(acc.addr());
+        let base = geometry.base(line);
+        if let Some(slot) = ways.find(base, line) {
+            next_use[slot] = ni;
+            ways.touch(slot, write);
             stats.hits += 1;
             return;
         }
-        if seen.insert(tag) {
-            stats.compulsory_misses += 1;
-        }
-        if acc.is_write() {
-            stats.write_alloc_misses += 1;
-        } else {
-            stats.fill_misses += 1;
-        }
-        stats.fills += 1;
-        // Optimal bypass: a line never used again needn't displace a
-        // useful resident — model it as filling and instantly dying only
-        // when the set still has a better candidate to keep.
-        let victim = match slice.iter().position(|w| !w.valid) {
-            Some(idx) => idx,
+        count_miss(&mut stats, seen.insert(line), write);
+        let slot = match ways.free_slot(base) {
+            Some(slot) => slot,
             None => {
-                let idx = slice
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, w)| w.next_use)
-                    .expect("associativity > 0")
-                    .0;
-                // If the incoming line's next use is farther than every
-                // resident's, evict the incoming line "immediately":
+                // The resident used farthest in the future; among ties
+                // the last way (the `max_by_key` rule).
+                let uses = &next_use[base..base + assoc];
+                let mut victim = 0;
+                for (w, &u) in uses.iter().enumerate().skip(1) {
+                    if u >= uses[victim] {
+                        victim = w;
+                    }
+                }
+                let slot = base + victim;
+                // Optimal bypass: if the incoming line's next use is
+                // farther than every resident's, evict it "immediately":
                 // count the fill and a dead line, keep the set intact.
-                if ni >= slice[idx].next_use {
+                if ni >= next_use[slot] {
                     stats.evictions += 1;
                     stats.dead_lines += u64::from(ni == NEVER);
-                    if acc.is_write() {
-                        stats.writebacks += 1;
-                    }
+                    stats.writebacks += u64::from(write);
                     return;
                 }
-                stats.evictions += 1;
-                if slice[idx].reuses == 0 {
-                    stats.dead_lines += 1;
-                }
-                if slice[idx].dirty {
-                    stats.writebacks += 1;
-                }
-                idx
+                ways.evict(slot, &mut stats);
+                slot
             }
         };
-        slice[victim] = Way {
-            tag,
-            next_use: ni,
-            dirty: acc.is_write(),
-            reuses: 0,
-            valid: true,
-        };
+        ways.fill(slot, line, write);
+        next_use[slot] = ni;
     });
     commorder_sparse::debug_validate!(
         i == next.len(),
         "belady replay drifted: pass two saw {i} accesses, pass one {}",
         next.len()
     );
-    for w in ways.iter().filter(|w| w.valid) {
-        if w.dirty {
-            stats.writebacks += 1;
-        }
-        if w.reuses == 0 {
-            stats.dead_lines += 1;
-        }
-    }
+    ways.flush(&mut stats);
     stats
 }
 
@@ -304,7 +260,7 @@ mod tests {
     #[test]
     fn small_store_costs_four_bytes_per_access() {
         let trace = [read(0), read(64), read(4), read(0)];
-        let next = build_next_uses(&trace[..], &tiny());
+        let next = build_next_uses(&trace[..], &Geometry::new(&tiny()));
         assert_eq!(next.bytes(), 4 * 4);
     }
 

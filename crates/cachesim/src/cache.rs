@@ -1,5 +1,4 @@
-use std::collections::HashSet;
-
+use crate::lines::{count_miss, Geometry, LineSet, Ways, INVALID};
 use crate::trace::Access;
 use crate::CacheConfig;
 
@@ -67,25 +66,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    /// Monotonic recency stamp; larger = more recently used.
-    lru_stamp: u64,
-    dirty: bool,
-    /// Hits since fill (0 => dead on eviction).
-    reuses: u32,
-    valid: bool,
-}
-
-const EMPTY: Way = Way {
-    tag: 0,
-    lru_stamp: 0,
-    dirty: false,
-    reuses: 0,
-    valid: false,
-};
-
 /// Result of a single [`LruCache::access_detailed`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -104,10 +84,13 @@ pub struct AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct LruCache {
     config: CacheConfig,
-    ways: Vec<Way>,
-    assoc: usize,
+    geometry: Geometry,
+    ways: Ways,
+    /// Per-slot recency stamp (parallel to `ways`); larger = more
+    /// recently used, 0 = never filled.
+    stamps: Vec<u64>,
     stats: CacheStats,
-    seen_lines: HashSet<u64>,
+    seen_lines: LineSet,
     clock: u64,
 }
 
@@ -119,16 +102,17 @@ impl LruCache {
     /// Panics on a degenerate geometry (see [`CacheConfig::num_lines`]).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let lines = config.num_lines();
+        let geometry = Geometry::new(&config);
         LruCache {
             config,
-            ways: vec![EMPTY; lines],
-            assoc: config.associativity as usize,
+            geometry,
+            ways: Ways::new(&geometry),
+            stamps: vec![0; geometry.lines()],
             stats: CacheStats {
                 line_bytes: config.line_bytes,
                 ..CacheStats::default()
             },
-            seen_lines: HashSet::new(),
+            seen_lines: LineSet::default(),
             clock: 0,
         }
     }
@@ -155,18 +139,18 @@ impl LruCache {
 
     /// Simulates one access, also reporting any eviction it caused —
     /// needed by multi-level hierarchies to forward write-backs.
+    #[inline]
     pub fn access_detailed(&mut self, access: Access) -> AccessOutcome {
         self.clock += 1;
         self.stats.accesses += 1;
-        let (set, tag) = self.config.set_and_tag(access.addr());
-        let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
+        let write = access.is_write();
+        let line = self.geometry.line(access.addr());
+        let assoc = self.geometry.assoc;
+        let base = self.geometry.base(line);
 
-        // Hit?
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru_stamp = self.clock;
-            way.reuses += 1;
-            way.dirty |= access.is_write();
+        if let Some(slot) = self.ways.find(base, line) {
+            self.stamps[slot] = self.clock;
+            self.ways.touch(slot, write);
             self.stats.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -174,48 +158,24 @@ impl LruCache {
             };
         }
 
-        // Miss: classify, then find a victim (invalid way or true LRU).
-        if self.seen_lines.insert(tag) {
-            self.stats.compulsory_misses += 1;
-        }
-        if access.is_write() {
-            self.stats.write_alloc_misses += 1;
-        } else {
-            self.stats.fill_misses += 1;
-        }
-        self.stats.fills += 1;
-
-        let mut evicted = None;
-        let victim = match ways.iter().position(|w| !w.valid) {
-            Some(i) => i,
-            None => {
-                let i = ways
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.lru_stamp)
-                    .expect("associativity > 0")
-                    .0;
-                self.stats.evictions += 1;
-                if ways[i].reuses == 0 {
-                    self.stats.dead_lines += 1;
-                }
-                if ways[i].dirty {
-                    self.stats.writebacks += 1;
-                }
-                evicted = Some((
-                    ways[i].tag * u64::from(self.config.line_bytes),
-                    ways[i].dirty,
-                ));
-                i
+        count_miss(&mut self.stats, self.seen_lines.insert(line), write);
+        // Victim: the first minimum stamp. Empty ways carry stamp 0 and
+        // valid ones a distinct stamp >= 1, so this is the first empty
+        // way while one exists, and the true-LRU way after that.
+        let stamps = &self.stamps[base..base + assoc];
+        let mut victim = 0;
+        for (w, &stamp) in stamps.iter().enumerate().skip(1) {
+            if stamp < stamps[victim] {
+                victim = w;
             }
-        };
-        ways[victim] = Way {
-            tag,
-            lru_stamp: self.clock,
-            dirty: access.is_write(),
-            reuses: 0,
-            valid: true,
-        };
+        }
+        let slot = base + victim;
+        let evicted = (self.ways.tags[slot] != INVALID).then(|| {
+            let (old, dirty) = self.ways.evict(slot, &mut self.stats);
+            (self.geometry.addr(old), dirty)
+        });
+        self.ways.fill(slot, line, write);
+        self.stamps[slot] = self.clock;
         AccessOutcome {
             hit: false,
             evicted,
@@ -226,16 +186,7 @@ impl LruCache {
     /// accounting for never-reused residents) and returns the statistics.
     #[must_use]
     pub fn finish(mut self) -> CacheStats {
-        for way in &self.ways {
-            if way.valid {
-                if way.dirty {
-                    self.stats.writebacks += 1;
-                }
-                if way.reuses == 0 {
-                    self.stats.dead_lines += 1;
-                }
-            }
-        }
+        self.ways.flush(&mut self.stats);
         self.stats
     }
 
@@ -251,9 +202,8 @@ impl LruCache {
     #[must_use]
     pub fn dirty_lines(&self) -> Vec<u64> {
         self.ways
-            .iter()
-            .filter(|w| w.valid && w.dirty)
-            .map(|w| w.tag * u64::from(self.config.line_bytes))
+            .dirty_lines()
+            .map(|line| self.geometry.addr(line))
             .collect()
     }
 }

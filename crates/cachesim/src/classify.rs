@@ -8,8 +8,7 @@
 //! checking that reordering's wins come from shrinking the *working set*
 //! (capacity misses) rather than from accidental set-index effects.
 
-use std::collections::HashMap;
-
+use crate::lines::{Geometry, LineMap, LineSet, INVALID};
 use crate::source::TraceSource;
 use crate::{CacheConfig, LruCache};
 
@@ -36,42 +35,84 @@ impl MissClasses {
     }
 }
 
-/// Fully-associative LRU of `capacity_lines` lines (order = recency).
+/// End of the recency list.
+const NIL: usize = usize::MAX;
+
+/// Fully-associative LRU of `capacity` lines: a doubly linked recency
+/// list over line slots plus a line → slot index. Index entries of
+/// evicted lines are left stale and caught by checking the slot's line.
 struct FullyAssociative {
-    recency: Vec<u64>, // most recent at the back
-    index: HashMap<u64, usize>,
-    capacity: usize,
+    /// Resident line per slot (`INVALID` until first filled).
+    lines: Vec<u64>,
+    /// Neighbour toward the least recently used end.
+    older: Vec<usize>,
+    /// Neighbour toward the most recently used end.
+    newer: Vec<usize>,
+    /// Least recently used slot.
+    lru: usize,
+    /// Most recently used slot.
+    mru: usize,
+    /// Slots filled so far.
+    filled: usize,
+    slot_of: LineMap,
 }
 
 impl FullyAssociative {
     fn new(capacity: usize) -> Self {
         FullyAssociative {
-            recency: Vec::with_capacity(capacity),
-            index: HashMap::new(),
-            capacity,
+            lines: vec![INVALID; capacity],
+            older: vec![NIL; capacity],
+            newer: vec![NIL; capacity],
+            lru: NIL,
+            mru: NIL,
+            filled: 0,
+            slot_of: LineMap::default(),
         }
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (older, newer) = (self.older[slot], self.newer[slot]);
+        match older {
+            NIL => self.lru = newer,
+            o => self.newer[o] = newer,
+        }
+        match newer {
+            NIL => self.mru = older,
+            n => self.older[n] = older,
+        }
+    }
+
+    fn push_mru(&mut self, slot: usize) {
+        self.older[slot] = self.mru;
+        self.newer[slot] = NIL;
+        match self.mru {
+            NIL => self.lru = slot,
+            m => self.newer[m] = slot,
+        }
+        self.mru = slot;
     }
 
     /// Returns `true` on hit.
     fn access(&mut self, line: u64) -> bool {
-        if let Some(&pos) = self.index.get(&line) {
-            // Move to back (most recent). O(n) but n = cache lines.
-            self.recency.remove(pos);
-            self.recency.push(line);
-            for (i, &l) in self.recency.iter().enumerate().skip(pos) {
-                self.index.insert(l, i);
-            }
-            return true;
-        }
-        if self.recency.len() == self.capacity {
-            let evicted = self.recency.remove(0);
-            self.index.remove(&evicted);
-            for (i, &l) in self.recency.iter().enumerate() {
-                self.index.insert(l, i);
+        if let Some(slot) = self.slot_of.get(line) {
+            let slot = slot as usize;
+            if self.lines[slot] == line {
+                self.unlink(slot);
+                self.push_mru(slot);
+                return true;
             }
         }
-        self.index.insert(line, self.recency.len());
-        self.recency.push(line);
+        let slot = if self.filled < self.lines.len() {
+            self.filled += 1;
+            self.filled - 1
+        } else {
+            let victim = self.lru;
+            self.unlink(victim);
+            victim
+        };
+        self.lines[slot] = line;
+        self.push_mru(slot);
+        self.slot_of.replace(line, slot as u64);
         false
     }
 }
@@ -84,13 +125,14 @@ impl FullyAssociative {
 /// Panics on a degenerate geometry (see [`CacheConfig::num_lines`]).
 #[must_use]
 pub fn classify<S: TraceSource + ?Sized>(config: CacheConfig, source: &S) -> MissClasses {
+    let geometry = Geometry::new(&config);
     let mut set_assoc = LruCache::new(config);
-    let mut full = FullyAssociative::new(config.num_lines());
-    let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    let mut full = FullyAssociative::new(geometry.lines());
+    let mut seen = LineSet::default();
     let mut out = MissClasses::default();
     source.replay(&mut |acc| {
         out.accesses += 1;
-        let line = acc.addr() / u64::from(config.line_bytes);
+        let line = geometry.line(acc.addr());
         let sa_hit = set_assoc.access(acc);
         let fa_hit = full.access(line);
         if sa_hit {

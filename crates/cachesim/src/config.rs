@@ -82,13 +82,6 @@ impl CacheConfig {
     pub fn num_sets(&self) -> usize {
         self.num_lines() / self.associativity as usize
     }
-
-    /// Maps a byte address to `(set index, line tag)`.
-    #[must_use]
-    pub fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / u64::from(self.line_bytes);
-        ((line % self.num_sets() as u64) as usize, line)
-    }
 }
 
 impl Default for CacheConfig {
@@ -119,16 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn set_and_tag_group_same_line() {
-        let c = CacheConfig::test_scale();
-        let (s0, t0) = c.set_and_tag(0);
-        let (s1, t1) = c.set_and_tag(31);
-        assert_eq!((s0, t0), (s1, t1));
-        let (_, t2) = c.set_and_tag(32);
-        assert_ne!(t0, t2);
-    }
-
-    #[test]
     #[should_panic(expected = "whole number of sets")]
     fn rejects_ragged_capacity() {
         let _ = CacheConfig {
@@ -137,14 +120,5 @@ mod tests {
             associativity: 16,
         }
         .num_lines();
-    }
-
-    #[test]
-    fn consecutive_lines_map_to_consecutive_sets() {
-        let c = CacheConfig::test_scale();
-        let sets = c.num_sets();
-        let (s0, _) = c.set_and_tag(0);
-        let (s1, _) = c.set_and_tag(32);
-        assert_eq!((s0 + 1) % sets, s1 % sets);
     }
 }

@@ -47,6 +47,7 @@
 
 mod cache;
 mod config;
+mod lines;
 
 pub mod belady;
 pub mod classify;

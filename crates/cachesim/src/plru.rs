@@ -9,32 +9,23 @@
 //! Statistics match [`LruCache`](crate::LruCache) field-for-field so the
 //! two simulators are directly comparable.
 
-use std::collections::HashSet;
-
+use crate::lines::{count_miss, Geometry, LineSet, Ways};
 use crate::trace::Access;
 use crate::{CacheConfig, CacheStats};
-
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    dirty: bool,
-    reuses: u32,
-    valid: bool,
-}
 
 /// Set-associative cache with tree-PLRU replacement.
 ///
 /// Associativity must be a power of two (the PLRU tree is complete).
 #[derive(Debug, Clone)]
 pub struct PlruCache {
-    config: CacheConfig,
-    ways: Vec<Way>,
+    geometry: Geometry,
+    ways: Ways,
     /// Per-set PLRU tree bits (`assoc - 1` internal nodes, bit = which
     /// half was used less recently: 0 = left half is colder).
     tree: Vec<bool>,
     assoc: usize,
     stats: CacheStats,
-    seen: HashSet<u64>,
+    seen: LineSet,
 }
 
 impl PlruCache {
@@ -50,26 +41,18 @@ impl PlruCache {
             config.associativity.is_power_of_two(),
             "tree-PLRU needs power-of-two associativity"
         );
-        let lines = config.num_lines();
+        let geometry = Geometry::new(&config);
         let sets = config.num_sets();
         PlruCache {
-            config,
-            ways: vec![
-                Way {
-                    tag: 0,
-                    dirty: false,
-                    reuses: 0,
-                    valid: false,
-                };
-                lines
-            ],
+            geometry,
+            ways: Ways::new(&geometry),
             tree: vec![false; sets * (config.associativity as usize - 1).max(1)],
             assoc: config.associativity as usize,
             stats: CacheStats {
                 line_bytes: config.line_bytes,
                 ..CacheStats::default()
             },
-            seen: HashSet::new(),
+            seen: LineSet::default(),
         }
     }
 
@@ -112,49 +95,27 @@ impl PlruCache {
     /// Simulates one access; returns `true` on a hit.
     pub fn access(&mut self, access: Access) -> bool {
         self.stats.accesses += 1;
-        let (set, tag) = self.config.set_and_tag(access.addr());
+        let write = access.is_write();
+        let line = self.geometry.line(access.addr());
+        let set = self.geometry.set(line);
         let base = set * self.assoc;
-        if let Some(way) =
-            (0..self.assoc).find(|&w| self.ways[base + w].valid && self.ways[base + w].tag == tag)
-        {
-            let slot = &mut self.ways[base + way];
-            slot.reuses += 1;
-            slot.dirty |= access.is_write();
+        if let Some(slot) = self.ways.find(base, line) {
+            self.ways.touch(slot, write);
             self.stats.hits += 1;
-            self.touch(set, way);
+            self.touch(set, slot - base);
             return true;
         }
-        if self.seen.insert(tag) {
-            self.stats.compulsory_misses += 1;
-        }
-        if access.is_write() {
-            self.stats.write_alloc_misses += 1;
-        } else {
-            self.stats.fill_misses += 1;
-        }
-        self.stats.fills += 1;
-        let way = match (0..self.assoc).find(|&w| !self.ways[base + w].valid) {
-            Some(w) => w,
+        count_miss(&mut self.stats, self.seen.insert(line), write);
+        let slot = match self.ways.free_slot(base) {
+            Some(slot) => slot,
             None => {
-                let w = self.victim_of(set);
-                let victim = self.ways[base + w];
-                self.stats.evictions += 1;
-                if victim.reuses == 0 {
-                    self.stats.dead_lines += 1;
-                }
-                if victim.dirty {
-                    self.stats.writebacks += 1;
-                }
-                w
+                let slot = base + self.victim_of(set);
+                self.ways.evict(slot, &mut self.stats);
+                slot
             }
         };
-        self.ways[base + way] = Way {
-            tag,
-            dirty: access.is_write(),
-            reuses: 0,
-            valid: true,
-        };
-        self.touch(set, way);
+        self.ways.fill(slot, line, write);
+        self.touch(set, slot - base);
         false
     }
 
@@ -170,16 +131,7 @@ impl PlruCache {
     /// [`LruCache::finish`](crate::LruCache::finish)).
     #[must_use]
     pub fn finish(mut self) -> CacheStats {
-        for way in &self.ways {
-            if way.valid {
-                if way.dirty {
-                    self.stats.writebacks += 1;
-                }
-                if way.reuses == 0 {
-                    self.stats.dead_lines += 1;
-                }
-            }
-        }
+        self.ways.flush(&mut self.stats);
         self.stats
     }
 }

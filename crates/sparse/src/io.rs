@@ -156,16 +156,24 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix, SparseError> 
         let v = if pattern {
             1.0
         } else {
-            it.next()
-                .ok_or_else(|| SparseError::Parse {
+            let tok = it.next().ok_or_else(|| SparseError::Parse {
+                line: i + 1,
+                message: "missing value".to_string(),
+            })?;
+            let v = tok.parse::<f32>().map_err(|e| SparseError::Parse {
+                line: i + 1,
+                message: format!("bad value: {e}"),
+            })?;
+            // `parse::<f32>` accepts `nan`/`inf` and saturates
+            // out-of-range literals to infinity; none of those is a
+            // usable modularity weight or kernel value.
+            if !v.is_finite() {
+                return Err(SparseError::Parse {
                     line: i + 1,
-                    message: "missing value".to_string(),
-                })?
-                .parse::<f32>()
-                .map_err(|e| SparseError::Parse {
-                    line: i + 1,
-                    message: format!("bad value: {e}"),
-                })?
+                    message: format!("non-finite value {tok:?}"),
+                });
+            }
+            v
         };
         let (r, c) = (r1 - 1, c1 - 1);
         coo.push(r, c, v)?;
@@ -295,6 +303,36 @@ mod tests {
             read_matrix_market(text.as_bytes()),
             Err(SparseError::Parse { .. })
         ));
+    }
+
+    fn value_error_line(value: &str) -> Option<usize> {
+        let text =
+            format!("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n2 2 {value}\n");
+        match read_matrix_market(text.as_bytes()) {
+            Err(SparseError::Parse { line, .. }) => Some(line),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn read_rejects_nan_value() {
+        assert_eq!(value_error_line("nan"), Some(4));
+        assert_eq!(value_error_line("NaN"), Some(4));
+    }
+
+    #[test]
+    fn read_rejects_infinite_value() {
+        assert_eq!(value_error_line("inf"), Some(4));
+        assert_eq!(value_error_line("-infinity"), Some(4));
+    }
+
+    #[test]
+    fn read_rejects_out_of_range_value() {
+        // Finite as a decimal literal, but beyond f32::MAX: `parse::<f32>`
+        // would silently turn it into infinity.
+        assert_eq!(value_error_line("1e39"), Some(4));
+        assert_eq!(value_error_line("-1e39"), Some(4));
+        assert_eq!(value_error_line("3.4e38"), None, "f32::MAX is finite");
     }
 
     #[test]
