@@ -90,10 +90,10 @@ fn main() {
     println!("{table}");
     println!(
         "Paper shape: community-based reordering keeps scaling linearly past the \
-         materialized-corpus ceiling; the engine-parallel column fans sharded \
-         detection, dendrogram flattening and the chunked insular scan over {} \
-         worker(s), with byte-identical permutations — the gap to the serial \
-         column tracks the host's core count. BOBA is the lightweight \
+         materialized-corpus ceiling. Community detection is one serial sweep; \
+         the engine-parallel column fans dendrogram flattening and the chunked \
+         insular scan over {} worker(s), with byte-identical permutations, so \
+         the gap to the serial column is small. BOBA is the lightweight \
          reference: one first-touch pass over the edge stream, orders of \
          magnitude cheaper than community detection.",
         engine.threads()

@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use commorder_obs::event::json_string;
+
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
@@ -221,37 +223,19 @@ impl CheckReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"object\":\"{}\",\"index\":{},\"message\":\"{}\"}}",
-                escape_json(d.code),
+                "{{\"code\":{},\"severity\":\"{}\",\"object\":{},\"index\":{},\"message\":{}}}",
+                json_string(d.code),
                 d.severity.label(),
-                escape_json(&d.location.object),
+                json_string(&d.location.object),
                 d.location
                     .index
                     .map_or_else(|| "null".to_string(), |i| i.to_string()),
-                escape_json(&d.message)
+                json_string(&d.message)
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-#[must_use]
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@ use commorder_cachesim::trace::ExecutionModel;
 use commorder_exec::{Engine, EngineStats};
 use commorder_gpumodel::GpuSpec;
 use commorder_obs as obs;
+use commorder_obs::event::{json_f64, json_string};
 use commorder_reorder::{ReorderContext, Reordering};
 use commorder_sparse::traffic::Kernel;
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
@@ -558,36 +559,6 @@ impl ExperimentResult {
     }
 }
 
-/// JSON string literal with minimal escaping (the workspace emits only
-/// ASCII identifiers, but be correct anyway).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Deterministic JSON number: Rust's shortest-round-trip `Display` for
-/// finite values, `null` otherwise (JSON has no NaN/inf).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,12 +677,5 @@ mod tests {
             .unwrap()
             .render_json();
         assert_eq!(json, parallel);
-    }
-
-    #[test]
-    fn json_helpers() {
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 }

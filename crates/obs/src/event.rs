@@ -243,4 +243,11 @@ mod tests {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
+
+    #[test]
+    fn json_f64_is_null_when_not_finite() {
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+    }
 }

@@ -178,13 +178,7 @@ pub const METRICS: &[MetricInfo] = &[
         name: "reorder.community.passes",
         kind: MetricKind::Counter,
         unit: "sweeps",
-        help: "aggregation sweeps performed during community detection",
-    },
-    MetricInfo {
-        name: "reorder.community.shards",
-        kind: MetricKind::Counter,
-        unit: "shards",
-        help: "detection shards (islands or label-prop groups) aggregated",
+        help: "global aggregation sweeps performed during community detection",
     },
 ];
 
@@ -219,16 +213,12 @@ pub const SPANS: &[SpanInfo] = &[
         help: "full community-detection run over one matrix",
     },
     SpanInfo {
-        name: "community.islands",
-        help: "sharding the graph ahead of parallel community detection",
-    },
-    SpanInfo {
         name: "community.pass",
         help: "one aggregation sweep inside community detection",
     },
     SpanInfo {
-        name: "community.shard",
-        help: "aggregation over one detection shard",
+        name: "community.symmetrize",
+        help: "symmetrizing the input and dropping self-loops ahead of community detection",
     },
     SpanInfo {
         name: "exec.job",

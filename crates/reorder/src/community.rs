@@ -160,31 +160,6 @@ impl Dendrogram {
     }
 }
 
-/// How [`detect_with`] splits the graph into independently aggregated
-/// shards before modularity aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Shard by connected component. Merges never cross a component
-    /// boundary and the only global coupling in the gain formula is the
-    /// constant `total_m`, so per-component aggregation reproduces the
-    /// global sweep **byte-for-byte** — this is the default, and the
-    /// serial output is unchanged from pre-sharding releases.
-    #[default]
-    Connectivity,
-    /// Pre-shard with synchronous (Jacobi) label propagation, then
-    /// aggregate each label class independently, ignoring cross-shard
-    /// edges as merge candidates (they still count toward vertex
-    /// strength and `total_m`). The output differs from the global
-    /// sweep but is deterministic and thread-count-invariant — this is
-    /// the policy that parallelizes single-component graphs (social
-    /// networks) at the mega corpus tier.
-    LabelProp {
-        /// Maximum propagation rounds (each round is one synchronous
-        /// update of every vertex; the loop exits early on fixpoint).
-        rounds: u32,
-    },
-}
-
 /// Configuration for [`detect`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionConfig {
@@ -195,8 +170,6 @@ pub struct DetectionConfig {
     /// RABBIT incremental pass; further sweeps merge surviving
     /// aggregates Louvain-style until quiescent).
     pub max_passes: u32,
-    /// How the graph is split into independently aggregated shards.
-    pub shard: ShardPolicy,
 }
 
 impl Default for DetectionConfig {
@@ -204,7 +177,6 @@ impl Default for DetectionConfig {
         DetectionConfig {
             resolution: 1.0,
             max_passes: 16,
-            shard: ShardPolicy::Connectivity,
         }
     }
 }
@@ -221,15 +193,12 @@ pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, Spar
     detect_with(a, config, &Engine::serial())
 }
 
-/// [`detect`] with shard aggregation fanned out over `engine`.
+/// [`detect`] for callers that carry an engine.
 ///
-/// The graph is split into shards per [`DetectionConfig::shard`]; each
-/// shard is aggregated independently (one [`Engine::map`] job per shard
-/// when the engine is parallel and more than one shard exists) and the
-/// per-shard merge logs are replayed into one dendrogram. The result is
-/// a pure function of `(a, config)` — never of the thread count: shard
-/// jobs share only immutable state, and the merge replay consumes shard
-/// outcomes in deterministic shard order.
+/// Detection is one serial aggregation sweep over global vertex ids;
+/// `engine` is unused. It stays in the signature so every reorderer
+/// phase takes the same arguments, and the result is a pure function of
+/// `(a, config)`.
 ///
 /// # Errors
 ///
@@ -237,10 +206,13 @@ pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, Spar
 pub fn detect_with(
     a: &CsrMatrix,
     config: DetectionConfig,
-    engine: &Engine,
+    _engine: &Engine,
 ) -> Result<Dendrogram, SparseError> {
     let _span = obs::span!("community.detect");
-    let sym = ops::remove_self_loops(&ops::symmetrize(a)?);
+    let sym = {
+        let _sym_span = obs::span!("community.symmetrize");
+        ops::remove_self_loops(&ops::symmetrize(a)?)
+    };
     let n = sym.n_rows() as usize;
     let mut parent = vec![NONE; n];
     let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -252,10 +224,9 @@ pub fn detect_with(
         });
     }
 
-    // `strength[v]` is the summed weight of edges incident to v (all of
-    // them — cross-shard edges included); `total_m` the summed weight of
-    // all edges (each undirected edge once). Both are global under every
-    // shard policy, which is what keeps Connectivity sharding exact.
+    // `strength[v]` is the summed weight of edges incident to v;
+    // `total_m` the summed weight of all edges (each undirected edge
+    // once).
     let strength: Vec<f64> = (0..sym.n_rows())
         .map(|v| {
             let (_, vals) = sym.row(v);
@@ -272,41 +243,16 @@ pub fn detect_with(
         });
     }
 
-    let shards = {
-        let _shard_span = obs::span!("community.islands");
-        shard_members(&sym, config.shard, engine)?
-    };
-    obs::counter!("reorder.community.shards", shards.len() as u64);
-
-    // Branch on the shard count alone (it is a pure function of the
-    // matrix under both policies), so the span layout — and therefore a
-    // folded-flamegraph export — is identical at every thread count.
-    let outcomes: Vec<Vec<(u32, u32)>> = if shards.len() > 1 {
-        engine.map(&shards, |_, members| {
-            let _agg_span = obs::span!("community.shard");
-            aggregate_shard(&sym, members, &strength, total_m, &config)
-        })
-    } else {
-        shards
-            .iter()
-            .map(|members| aggregate_shard(&sym, members, &strength, total_m, &config))
-            .collect()
-    };
-
-    // Replay the merge logs. Merges are shard-local, so replaying each
-    // shard's chronological log reproduces exactly the parent links and
-    // `children` push order of an interleaved global sweep.
-    for merges in &outcomes {
-        for &(v, u) in merges {
-            parent[v as usize] = u;
-            children[u as usize].push(v);
-        }
+    // Children lists are filled after the sweep, not during it, so they
+    // are allocated together rather than among the sweep's adjacency
+    // maps; the dendrogram DFS walks them faster that way.
+    for (v, u) in aggregate(&sym, strength, total_m, &config) {
+        parent[v as usize] = u;
+        children[u as usize].push(v);
     }
-
-    let mut roots: Vec<u32> = (0..n as u32)
+    let roots: Vec<u32> = (0..n as u32)
         .filter(|&v| parent[v as usize] == NONE)
         .collect();
-    roots.sort_unstable();
     Ok(Dendrogram {
         parent,
         children,
@@ -314,134 +260,31 @@ pub fn detect_with(
     })
 }
 
-/// Splits the vertex set into shards per `policy` and returns the member
-/// lists, each ascending, in deterministic first-occurrence order.
-fn shard_members(
-    sym: &CsrMatrix,
-    policy: ShardPolicy,
-    engine: &Engine,
-) -> Result<Vec<Vec<u32>>, SparseError> {
-    let n = sym.n_rows();
-    let labels: Vec<u32> = match policy {
-        ShardPolicy::Connectivity => ops::connected_components(sym)?.0,
-        ShardPolicy::LabelProp { rounds } => labelprop_labels(sym, rounds, engine),
-    };
-    let mut shard_of_label = vec![NONE; n as usize];
-    let mut shards: Vec<Vec<u32>> = Vec::new();
-    for v in 0..n {
-        let label = labels[v as usize] as usize;
-        if shard_of_label[label] == NONE {
-            shard_of_label[label] = shards.len() as u32;
-            shards.push(Vec::new());
-        }
-        shards[shard_of_label[label] as usize].push(v);
-    }
-    Ok(shards)
-}
-
-/// Synchronous (Jacobi) label propagation: every vertex simultaneously
-/// adopts the most frequent label among its neighbours (ties to the
-/// smallest label), for up to `rounds` rounds or until fixpoint. Each
-/// round is a pure function of the previous label vector, computed in
-/// fixed vertex-range chunks, so the result is identical at any thread
-/// count.
-fn labelprop_labels(sym: &CsrMatrix, rounds: u32, engine: &Engine) -> Vec<u32> {
-    let n = sym.n_rows() as usize;
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    if n == 0 {
-        return labels;
-    }
-    let chunks = crate::par::fixed_chunks_u32(n, VERTICES_PER_CHUNK);
-    for _ in 0..rounds {
-        let sweep = |&(start, end): &(u32, u32)| -> Vec<u32> {
-            let mut out = Vec::with_capacity((end - start) as usize);
-            let mut freq: Vec<u32> = Vec::new();
-            for v in start..end {
-                let (cols, _) = sym.row(v);
-                if cols.is_empty() {
-                    out.push(labels[v as usize]);
-                    continue;
-                }
-                freq.clear();
-                freq.extend(cols.iter().map(|&c| labels[c as usize]));
-                freq.sort_unstable();
-                let mut best = freq[0];
-                let mut best_len = 0usize;
-                let mut i = 0usize;
-                while i < freq.len() {
-                    let run = freq[i..].iter().take_while(|&&x| x == freq[i]).count();
-                    if run > best_len {
-                        best_len = run;
-                        best = freq[i];
-                    }
-                    i += run;
-                }
-                out.push(best);
-            }
-            out
-        };
-        let segments: Vec<Vec<u32>> = if chunks.len() > 1 {
-            engine.map(&chunks, |_, range| sweep(range))
-        } else {
-            chunks.iter().map(sweep).collect()
-        };
-        let mut next = Vec::with_capacity(n);
-        for segment in segments {
-            next.extend_from_slice(&segment);
-        }
-        if next == labels {
-            break;
-        }
-        labels = next;
-    }
-    labels
-}
-
-/// Modularity aggregation restricted to one shard: the serial RABBIT
-/// sweep (increasing-strength visit order, best-positive-gain merge,
-/// smallest-ID tie-break, Louvain-style re-sweeps until quiescent) run
-/// over `members` only. Cross-shard neighbours are not merge candidates;
-/// under [`ShardPolicy::Connectivity`] none exist, which makes this
-/// bitwise-equal to the historical global sweep. Returns the merge log
+/// The RABBIT modularity aggregation: increasing-strength visit order,
+/// best-positive-gain merge, smallest-ID tie-break, Louvain-style
+/// re-sweeps until quiescent or `config.max_passes`. Returns the merges
 /// `(child, parent)` in chronological order.
-fn aggregate_shard(
+fn aggregate(
     sym: &CsrMatrix,
-    members: &[u32],
-    global_strength: &[f64],
+    mut strength: Vec<f64>,
     total_m: f64,
     config: &DetectionConfig,
 ) -> Vec<(u32, u32)> {
-    let k = members.len();
+    let n = sym.n_rows();
     let mut merges: Vec<(u32, u32)> = Vec::new();
-    if k <= 1 {
-        return merges;
-    }
-    // Local (dense 0..k) mirror of the shard. `members` is ascending, so
-    // local index order is global vertex-ID order restricted to the
-    // shard — the tie-break stays faithful.
-    let local_of: HashMap<u32, u32> = members
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u32))
-        .collect();
-    let mut strength: Vec<f64> = members
-        .iter()
-        .map(|&v| global_strength[v as usize])
-        .collect();
-    // Lazily-consolidated adjacency per live aggregate (local indices).
-    let mut adj: Vec<HashMap<u32, f64>> = members
-        .iter()
-        .map(|&v| {
+    // Lazily-consolidated adjacency per live aggregate.
+    let mut adj: Vec<HashMap<u32, f64>> = (0..n)
+        .map(|v| {
             let (cols, vals) = sym.row(v);
             cols.iter()
                 .zip(vals)
-                .filter_map(|(&c, &w)| local_of.get(&c).map(|&l| (l, f64::from(w))))
+                .map(|(&c, &w)| (c, f64::from(w)))
                 .collect()
         })
         .collect();
 
     // Union-find "top" pointers: maps any vertex to its live aggregate.
-    let mut top: Vec<u32> = (0..k as u32).collect();
+    let mut top: Vec<u32> = (0..n).collect();
     fn find(top: &mut [u32], v: u32) -> u32 {
         let mut root = v;
         while top[root as usize] != root {
@@ -457,7 +300,9 @@ fn aggregate_shard(
         root
     }
 
-    let mut alive: Vec<u32> = (0..k as u32).collect();
+    // Isolated vertices can neither merge nor be merged into, so they
+    // never enter the sweep.
+    let mut alive: Vec<u32> = (0..n).filter(|&v| !adj[v as usize].is_empty()).collect();
     let two_m_sq = 2.0 * total_m * total_m;
     for pass in 0..config.max_passes {
         let _pass_span = obs::span!("community.pass", "pass={pass}");
@@ -512,7 +357,7 @@ fn aggregate_shard(
                     adj[u as usize].remove(&v);
                     strength[u as usize] += strength[v as usize];
                     top[v as usize] = u;
-                    merges.push((members[v as usize], members[u as usize]));
+                    merges.push((v, u));
                     merged_any = true;
                     pass_merges += 1;
                 }
@@ -528,10 +373,6 @@ fn aggregate_shard(
     }
     merges
 }
-
-/// Minimum vertices per label-propagation sweep chunk: below this the
-/// sweep is cheaper than a dispatch, and the single chunk stays inline.
-const VERTICES_PER_CHUNK: usize = 4096;
 
 /// Minimum dendrogram roots per DFS-flattening chunk.
 const ROOTS_PER_CHUNK: usize = 1024;

@@ -1,15 +1,14 @@
 //! Data-driven chunking for the engine-parallel reordering phases.
 //!
-//! Every nested fan-out in this crate (shard aggregation, label-prop
-//! sweeps, dendrogram flattening, insular scans, first-touch streams)
-//! derives its chunk count from the *input size alone* — never from
-//! `Engine::threads()`. Two properties follow:
+//! Every nested fan-out in this crate (dendrogram flattening, insular
+//! scans, first-touch streams) derives its chunk count from the *input
+//! size alone* — never from `Engine::threads()`. Two properties follow:
 //!
 //! 1. **Thread-invariant telemetry.** The number of nested `exec.job`
 //!    spans (and any spans opened inside chunk closures) is a pure
 //!    function of the data, so a folded-flamegraph export of the same
 //!    run is byte-identical at any thread count.
-//! 2. **Chunk-boundary-independent results.** All five call sites merge
+//! 2. **Chunk-boundary-independent results.** All three call sites merge
 //!    chunk outputs with boundary-insensitive logic (order-preserving
 //!    concatenation or commutative/idempotent clears), so moving the
 //!    policy off the thread count cannot change a permutation.
@@ -37,7 +36,7 @@ pub(crate) fn fixed_chunks(len: usize, min_chunk: usize) -> Vec<(usize, usize)> 
         .collect()
 }
 
-/// [`fixed_chunks`] with `u32` endpoints for vertex-range sweeps.
+/// [`fixed_chunks`] with `u32` endpoints for row-range scans.
 pub(crate) fn fixed_chunks_u32(len: usize, min_chunk: usize) -> Vec<(u32, u32)> {
     fixed_chunks(len, min_chunk)
         .into_iter()

@@ -51,10 +51,9 @@ impl Rabbit {
         self.run_with(a, &Engine::serial())
     }
 
-    /// [`Rabbit::run`] with both phases fanned out on `engine`:
-    /// community detection shards by island and the dendrogram DFS walks
-    /// root chunks in parallel. Byte-identical to the serial run at any
-    /// thread count.
+    /// [`Rabbit::run`] with the dendrogram DFS walking root chunks in
+    /// parallel on `engine`. Community detection is one serial sweep.
+    /// Byte-identical to the serial run at any thread count.
     ///
     /// # Errors
     ///

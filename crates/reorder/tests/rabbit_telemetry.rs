@@ -36,6 +36,13 @@ fn rabbit_emits_phase_spans_and_counters() {
         .span("reorder.rabbit/community.detect")
         .expect("detect nests under rabbit");
     assert_eq!(detect.count, 1);
+    assert_eq!(
+        registry
+            .span("reorder.rabbit/community.detect/community.symmetrize")
+            .map(|s| s.count),
+        Some(1),
+        "symmetrize nests under detect"
+    );
     let passes = registry.counter("reorder.community.passes");
     assert!(passes >= 1, "at least one aggregation sweep");
     assert_eq!(

@@ -960,9 +960,9 @@ pub fn mega() -> Vec<CorpusEntry> {
             domain: Domain::Kmer,
             // A few long contigs among many short fragments, like real
             // assembly graphs: 128 chains of 4096 plus ~57k chains of
-            // 64. The mix is also what sharded detection exploits —
-            // short islands quiesce early while the serial sweep walks
-            // all 4M vertices until the 4096-chains converge.
+            // 64. Short islands quiesce after a few sweeps, but
+            // detection keeps sweeping the surviving aggregates of all
+            // islands until the 4096-chains converge.
             spec: S::StreamedKmerChain(StreamedKmerChain {
                 n: 1 << 22,
                 chain_len: 4096,

@@ -246,18 +246,15 @@ impl EdgeStream for StreamedCommunity {
 
 /// K-mer chain edge stream: `n` vertices in chains, each chain a path
 /// with occasional short-range branch edges. Chains never connect to
-/// each other, so the graph decomposes into islands — the regime where
-/// connectivity-sharded community detection parallelizes with zero
-/// output drift.
+/// each other, so the graph decomposes into islands.
 ///
 /// Chain lengths can be heterogeneous, mirroring real assembly graphs
 /// (a few long contigs among many short fragments): the first
 /// `long_vertices` ids are laid out as chains of `chain_len`, the rest
-/// as chains of `short_len`. Heterogeneity is also what gives sharded
-/// detection its work advantage — a short island quiesces in few
-/// passes, while the serial global sweep keeps walking *every* vertex
-/// until the longest chain converges. With `short_len == 0` all chains
-/// are `chain_len` long (uniform layout).
+/// as chains of `short_len`. A short island quiesces in few detection
+/// sweeps, while the global sweep keeps visiting the surviving
+/// aggregates of every island until the longest chain converges. With
+/// `short_len == 0` all chains are `chain_len` long (uniform layout).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamedKmerChain {
     /// Vertex count.

@@ -407,7 +407,7 @@ fn run_bench_reorder(quick: bool) -> Result<BenchReport, String> {
             let engine = Engine::new(threads);
             let cx = ReorderContext::new(&engine, 0xC0DE);
             // Best-of-N: repetitions absorb scheduler noise, which on a
-            // loaded host can otherwise exceed the sharding speedup.
+            // loaded host can otherwise exceed the parallel speedup.
             let mut seconds = f64::INFINITY;
             let mut hwm_kb = 0u64;
             let mut last = None;
