@@ -261,12 +261,24 @@ pub const SPANS: &[SpanInfo] = &[
         help: "hierarchy flattening inside rabbit ordering",
     },
     SpanInfo {
+        name: "rabbitpp.group",
+        help: "hub masking and the stable hub/insular/rest segment partition of the rabbit order",
+    },
+    SpanInfo {
+        name: "rabbitpp.insular",
+        help: "insular-node scan over the rabbit community assignment",
+    },
+    SpanInfo {
         name: "reorder.boba",
         help: "full boba first-touch reordering over one matrix",
     },
     SpanInfo {
         name: "reorder.rabbit",
         help: "full rabbit-order run over one matrix",
+    },
+    SpanInfo {
+        name: "reorder.rabbitpp",
+        help: "full rabbit++ run over one matrix: rabbit, insular scan and grouping",
     },
     SpanInfo {
         name: "suite",

@@ -10,8 +10,15 @@
 //! an ordering in which every community *and every sub-community* is a
 //! contiguous ID range. Additional sweeps over the surviving aggregates
 //! (Louvain-style) continue until no merge improves modularity.
+//!
+//! The aggregation works on flat arrays: each aggregate's neighbours are
+//! its row of the symmetrized CSR plus an appended run of
+//! `(neighbour, weight)` entries inherited from merged aggregates, and a
+//! visit consolidates them through one reused slot table. Weights are
+//! therefore summed in a fixed order (CSR order, then merge order), so a
+//! permutation depends only on the input matrix, real-valued or not.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use commorder_exec::Engine;
 use commorder_obs as obs;
@@ -26,22 +33,57 @@ const NONE: u32 = u32::MAX;
 /// communities.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dendrogram {
-    parent: Vec<u32>,
-    children: Vec<Vec<u32>>,
+    /// The children of `u`, in merge order, are
+    /// `child_ids[child_offsets[u]..child_offsets[u + 1]]`.
+    child_offsets: Vec<u32>,
+    child_ids: Vec<u32>,
     roots: Vec<u32>,
 }
 
 impl Dendrogram {
+    /// The forest on `n` vertices built by `merges`, `(child, parent)`
+    /// pairs in chronological order, each vertex a child at most once.
+    fn from_merges(n: usize, merges: &[(u32, u32)]) -> Dendrogram {
+        let mut child_offsets = vec![0u32; n + 1];
+        let mut is_root = vec![true; n];
+        for &(v, u) in merges {
+            child_offsets[u as usize + 1] += 1;
+            is_root[v as usize] = false;
+        }
+        for u in 0..n {
+            child_offsets[u + 1] += child_offsets[u];
+        }
+        let mut cursor = child_offsets.clone();
+        let mut child_ids = vec![0u32; merges.len()];
+        for &(v, u) in merges {
+            child_ids[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+        }
+        let roots = (0..n as u32).filter(|&v| is_root[v as usize]).collect();
+        Dendrogram {
+            child_offsets,
+            child_ids,
+            roots,
+        }
+    }
+
+    /// The children of `u`, earliest merge first.
+    fn children(&self, u: u32) -> &[u32] {
+        let lo = self.child_offsets[u as usize] as usize;
+        let hi = self.child_offsets[u as usize + 1] as usize;
+        &self.child_ids[lo..hi]
+    }
+
     /// Number of original vertices.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.child_offsets.len() - 1
     }
 
     /// `true` when there are no vertices.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.len() == 0
     }
 
     /// The surviving top-level aggregates (one per detected community),
@@ -61,13 +103,13 @@ impl Dendrogram {
     /// root order.
     #[must_use]
     pub fn assignment(&self) -> Vec<u32> {
-        let mut comm = vec![NONE; self.parent.len()];
+        let mut comm = vec![NONE; self.len()];
         for (cid, &root) in self.roots.iter().enumerate() {
             // Iterative subtree walk.
             let mut stack = vec![root];
             while let Some(v) = stack.pop() {
                 comm[v as usize] = cid as u32;
-                stack.extend_from_slice(&self.children[v as usize]);
+                stack.extend_from_slice(self.children(v));
             }
         }
         debug_assert!(comm.iter().all(|&c| c != NONE));
@@ -80,11 +122,11 @@ impl Dendrogram {
     /// contiguous range of new IDs.
     #[must_use]
     pub fn dfs_order(&self) -> Vec<u32> {
-        let mut order = Vec::with_capacity(self.parent.len());
+        let mut order = Vec::with_capacity(self.len());
         for &root in &self.roots {
             self.dfs_into(root, &mut order);
         }
-        debug_assert_eq!(order.len(), self.parent.len());
+        debug_assert_eq!(order.len(), self.len());
         order
     }
 
@@ -105,11 +147,11 @@ impl Dendrogram {
             }
             order
         });
-        let mut order = Vec::with_capacity(self.parent.len());
+        let mut order = Vec::with_capacity(self.len());
         for segment in segments {
             order.extend_from_slice(&segment);
         }
-        debug_assert_eq!(order.len(), self.parent.len());
+        debug_assert_eq!(order.len(), self.len());
         order
     }
 
@@ -120,7 +162,7 @@ impl Dendrogram {
             order.push(v);
             // Push children reversed so the earliest merge is visited
             // first (closest community member, deepest hierarchy).
-            stack.extend(self.children[v as usize].iter().rev().copied());
+            stack.extend(self.children(v).iter().rev().copied());
         }
     }
 
@@ -128,16 +170,12 @@ impl Dendrogram {
     /// the paper's "hierarchical community" nesting level per vertex.
     #[must_use]
     pub fn depths(&self) -> Vec<u32> {
-        let mut depth = vec![0u32; self.parent.len()];
+        let mut depth = vec![0u32; self.len()];
         for &root in &self.roots {
             let mut stack = vec![(root, 0u32)];
             while let Some((v, d)) = stack.pop() {
                 depth[v as usize] = d;
-                stack.extend(
-                    self.children[v as usize]
-                        .iter()
-                        .map(|&child| (child, d + 1)),
-                );
+                stack.extend(self.children(v).iter().map(|&child| (child, d + 1)));
             }
         }
         depth
@@ -188,7 +226,8 @@ impl Default for DetectionConfig {
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+/// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
 pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, SparseError> {
     detect_with(a, config, &Engine::serial())
 }
@@ -202,31 +241,26 @@ pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, Spar
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+/// [`SparseError::NonFiniteValue`] if a weight of `a`, or of `a + aᵀ`
+/// (whose `f32` sums can overflow), is NaN or infinite.
 pub fn detect_with(
     a: &CsrMatrix,
     config: DetectionConfig,
     _engine: &Engine,
 ) -> Result<Dendrogram, SparseError> {
     let _span = obs::span!("community.detect");
+    check_finite(a)?;
     let sym = {
         let _sym_span = obs::span!("community.symmetrize");
-        ops::remove_self_loops(&ops::symmetrize(a)?)
+        ops::undirected(a)?
     };
+    check_finite(&sym)?;
     let n = sym.n_rows() as usize;
-    let mut parent = vec![NONE; n];
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    if n == 0 {
-        return Ok(Dendrogram {
-            parent,
-            children,
-            roots: Vec::new(),
-        });
-    }
 
-    // `strength[v]` is the summed weight of edges incident to v;
-    // `total_m` the summed weight of all edges (each undirected edge
-    // once).
+    // `strength[v]` is the summed weight of edges incident to v, in CSR
+    // row order; `total_m` the summed weight of all edges (each
+    // undirected edge once), in ascending vertex order.
     let strength: Vec<f64> = (0..sym.n_rows())
         .map(|v| {
             let (_, vals) = sym.row(v);
@@ -235,35 +269,44 @@ pub fn detect_with(
         .collect();
     let total_m: f64 = strength.iter().sum::<f64>() / 2.0;
     if total_m == 0.0 {
-        // Edgeless graph: every vertex is its own community.
-        return Ok(Dendrogram {
-            parent,
-            children,
-            roots: (0..n as u32).collect(),
-        });
+        // Edgeless (or empty) graph: every vertex is its own community.
+        return Ok(Dendrogram::from_merges(n, &[]));
     }
 
-    // Children lists are filled after the sweep, not during it, so they
-    // are allocated together rather than among the sweep's adjacency
-    // maps; the dendrogram DFS walks them faster that way.
-    for (v, u) in aggregate(&sym, strength, total_m, &config) {
-        parent[v as usize] = u;
-        children[u as usize].push(v);
+    let merges = aggregate(&sym, strength, total_m, &config);
+    Ok(Dendrogram::from_merges(n, &merges))
+}
+
+/// Rejects the first NaN or infinite value of `m`, in row-major order.
+fn check_finite(m: &CsrMatrix) -> Result<(), SparseError> {
+    match m.values().iter().position(|w| !w.is_finite()) {
+        None => Ok(()),
+        Some(k) => {
+            // Rows before the one holding entry `k` end at or before `k`.
+            let row = m.row_offsets().partition_point(|&end| end as usize <= k) - 1;
+            Err(SparseError::NonFiniteValue {
+                row: row as u32,
+                col: m.col_indices()[k],
+            })
+        }
     }
-    let roots: Vec<u32> = (0..n as u32)
-        .filter(|&v| parent[v as usize] == NONE)
-        .collect();
-    Ok(Dendrogram {
-        parent,
-        children,
-        roots,
-    })
 }
 
 /// The RABBIT modularity aggregation: increasing-strength visit order,
 /// best-positive-gain merge, smallest-ID tie-break, Louvain-style
 /// re-sweeps until quiescent or `config.max_passes`. Returns the merges
 /// `(child, parent)` in chronological order.
+///
+/// Adjacency lives in flat arrays. A live aggregate `v`'s neighbours are
+/// its own row of `sym`, read at its first visit (every vertex with an
+/// edge is visited on the first sweep, so later sweeps never read it),
+/// followed by `runs[v]`: `(neighbour, weight)` entries appended by the
+/// aggregates merged into `v`, uncombined, their neighbour ids possibly
+/// stale. A visit consolidates them through the union-find into
+/// `scratch`, with `slot[r]` holding the scratch index of live
+/// neighbour `r` (`NONE` between visits). Each consolidated weight is
+/// therefore summed in CSR order and then merge order, independent of
+/// any hash seed.
 fn aggregate(
     sym: &CsrMatrix,
     mut strength: Vec<f64>,
@@ -272,16 +315,9 @@ fn aggregate(
 ) -> Vec<(u32, u32)> {
     let n = sym.n_rows();
     let mut merges: Vec<(u32, u32)> = Vec::new();
-    // Lazily-consolidated adjacency per live aggregate.
-    let mut adj: Vec<HashMap<u32, f64>> = (0..n)
-        .map(|v| {
-            let (cols, vals) = sym.row(v);
-            cols.iter()
-                .zip(vals)
-                .map(|(&c, &w)| (c, f64::from(w)))
-                .collect()
-        })
-        .collect();
+    let mut runs: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n as usize];
+    let mut slot: Vec<u32> = vec![NONE; n as usize];
+    let mut scratch: Vec<(u32, f64)> = Vec::new();
 
     // Union-find "top" pointers: maps any vertex to its live aggregate.
     let mut top: Vec<u32> = (0..n).collect();
@@ -302,39 +338,52 @@ fn aggregate(
 
     // Isolated vertices can neither merge nor be merged into, so they
     // never enter the sweep.
-    let mut alive: Vec<u32> = (0..n).filter(|&v| !adj[v as usize].is_empty()).collect();
+    let mut alive: Vec<u32> = (0..n).filter(|&v| sym.row_degree(v) > 0).collect();
+    let mut next_alive: Vec<u32> = Vec::with_capacity(alive.len());
     let two_m_sq = 2.0 * total_m * total_m;
     for pass in 0..config.max_passes {
         let _pass_span = obs::span!("community.pass", "pass={pass}");
         let mut pass_merges = 0u64;
         // Sweep live aggregates in increasing-strength order (degree order
-        // on the first pass — the RABBIT visit order).
+        // on the first pass — the RABBIT visit order). Strengths are
+        // finite (`check_finite`), so the comparison never fails.
         alive.sort_by(|&x, &y| {
             strength[x as usize]
                 .partial_cmp(&strength[y as usize])
-                .expect("strengths are finite")
+                .unwrap_or(Ordering::Equal)
                 .then(x.cmp(&y))
         });
         let mut merged_any = false;
-        let mut next_alive: Vec<u32> = Vec::with_capacity(alive.len());
+        next_alive.clear();
         for &v in &alive {
             if top[v as usize] != v {
                 continue; // absorbed earlier this pass
             }
-            // Consolidate v's adjacency through the union-find.
-            let old = std::mem::take(&mut adj[v as usize]);
-            let mut merged: HashMap<u32, f64> = HashMap::with_capacity(old.len());
-            for (nbr, w) in old {
+            // Consolidate v's own row (first sweep only) and run.
+            let own = if pass == 0 {
+                sym.row(v)
+            } else {
+                (&[][..], &[][..])
+            };
+            let run = std::mem::take(&mut runs[v as usize]);
+            let entries = own.0.iter().zip(own.1).map(|(&c, &w)| (c, f64::from(w)));
+            for (nbr, w) in entries.chain(run.iter().copied()) {
                 let r = find(&mut top, nbr);
-                if r != v {
-                    *merged.entry(r).or_insert(0.0) += w;
+                if r == v {
+                    continue;
+                }
+                match slot[r as usize] {
+                    NONE => {
+                        slot[r as usize] = scratch.len() as u32;
+                        scratch.push((r, w));
+                    }
+                    s => scratch[s as usize].1 += w,
                 }
             }
-            adj[v as usize] = merged;
-            // Best-gain neighbour. Ties break to the smallest vertex ID so
-            // the result is independent of HashMap iteration order.
+            // Best-gain neighbour; ties break to the smallest vertex ID.
             let mut best: Option<(u32, f64)> = None;
-            for (&u, &w_vu) in &adj[v as usize] {
+            for &(u, w_vu) in &scratch {
+                slot[u as usize] = NONE;
                 let gain = w_vu / total_m
                     - config.resolution * strength[v as usize] * strength[u as usize] / two_m_sq;
                 let better = match best {
@@ -347,24 +396,28 @@ fn aggregate(
             }
             match best {
                 Some((u, _)) => {
-                    // Merge v into u.
-                    let v_adj = std::mem::take(&mut adj[v as usize]);
-                    for (nbr, w) in v_adj {
-                        if nbr != u {
-                            *adj[u as usize].entry(nbr).or_insert(0.0) += w;
-                        }
-                    }
-                    adj[u as usize].remove(&v);
+                    // Merge v into u: v's consolidated neighbours, minus
+                    // u itself, join u's run.
+                    runs[u as usize].extend(scratch.iter().filter(|&&(r, _)| r != u));
                     strength[u as usize] += strength[v as usize];
                     top[v as usize] = u;
                     merges.push((v, u));
                     merged_any = true;
                     pass_merges += 1;
                 }
-                None => next_alive.push(v),
+                None => {
+                    // v stays live, keeping its consolidated neighbours
+                    // in the run's buffer.
+                    let mut run = run;
+                    run.clear();
+                    run.extend_from_slice(&scratch);
+                    runs[v as usize] = run;
+                    next_alive.push(v);
+                }
             }
+            scratch.clear();
         }
-        alive = next_alive;
+        std::mem::swap(&mut alive, &mut next_alive);
         obs::counter!("reorder.community.passes", 1);
         obs::counter!("reorder.community.merges", pass_merges);
         if !merged_any {
@@ -536,6 +589,35 @@ mod tests {
         let d = detect(&g, DetectionConfig::default()).unwrap();
         let total: u32 = d.community_sizes().iter().sum();
         assert_eq!(total, 15);
+    }
+
+    #[test]
+    fn non_finite_weights_are_rejected_by_every_entry_point() {
+        use crate::{Rabbit, RabbitPlusPlus};
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let entries = vec![(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, bad)];
+            let g = CsrMatrix::try_from(CooMatrix::from_entries(3, 3, entries).unwrap()).unwrap();
+            let want = SparseError::NonFiniteValue { row: 2, col: 1 };
+            assert_eq!(detect(&g, DetectionConfig::default()), Err(want.clone()));
+            assert_eq!(
+                Rabbit::new().run(&g).map(|r| r.permutation),
+                Err(want.clone())
+            );
+            assert_eq!(
+                RabbitPlusPlus::new().run(&g).map(|r| r.permutation),
+                Err(want)
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_symmetrized_weight_is_rejected() {
+        // Each direction is finite; their f32 sum in A + Aᵀ is not.
+        let g = CsrMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], vec![3e38, 3e38]).unwrap();
+        assert_eq!(
+            detect(&g, DetectionConfig::default()),
+            Err(SparseError::NonFiniteValue { row: 0, col: 1 })
+        );
     }
 
     #[test]

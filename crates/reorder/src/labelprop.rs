@@ -38,7 +38,7 @@ impl Reordering for LabelPropagation {
     }
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
-        let sym = ops::remove_self_loops(&ops::symmetrize(a)?);
+        let sym = ops::undirected(a)?;
         let n = sym.n_rows();
         let mut label: Vec<u32> = (0..n).collect();
         let mut counts: HashMap<u32, u32> = HashMap::new();

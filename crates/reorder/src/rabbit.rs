@@ -46,7 +46,8 @@ impl Rabbit {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+    /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
     pub fn run(&self, a: &CsrMatrix) -> Result<RabbitResult, SparseError> {
         self.run_with(a, &Engine::serial())
     }
@@ -57,7 +58,8 @@ impl Rabbit {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+    /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
     pub fn run_with(&self, a: &CsrMatrix, engine: &Engine) -> Result<RabbitResult, SparseError> {
         let _span = obs::span!("reorder.rabbit");
         let dendrogram = community::detect_with(a, self.detection, engine)?;

@@ -20,6 +20,7 @@
 //! (insular grouping **and** hub grouping).
 
 use commorder_exec::Engine;
+use commorder_obs as obs;
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 
 use crate::degree::hub_mask;
@@ -141,7 +142,8 @@ impl RabbitPlusPlus {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+    /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
     pub fn run(&self, a: &CsrMatrix) -> Result<RabbitPlusPlusResult, SparseError> {
         self.run_with(a, &Engine::serial())
     }
@@ -152,14 +154,20 @@ impl RabbitPlusPlus {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+    /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
     pub fn run_with(
         &self,
         a: &CsrMatrix,
         engine: &Engine,
     ) -> Result<RabbitPlusPlusResult, SparseError> {
+        let _span = obs::span!("reorder.rabbitpp");
         let rabbit = self.config.rabbit.run_with(a, engine)?;
-        let insular = quality::insular_nodes_with(a, &rabbit.assignment, engine)?;
+        let insular = {
+            let _insular_span = obs::span!("rabbitpp.insular");
+            quality::insular_nodes_with(a, &rabbit.assignment, engine)?
+        };
+        let _group_span = obs::span!("rabbitpp.group");
         let hubs = hub_mask(a);
         let n = a.n_rows();
 

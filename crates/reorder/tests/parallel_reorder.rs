@@ -11,11 +11,17 @@
 //! dendrogram flattening, the RABBIT++ insular scan and BOBA's
 //! first-touch streams. The goldens pin the algorithms, so a silent
 //! change cannot hide behind self-consistent parallel runs.
+//!
+//! Both corpus entries are pattern matrices, whose integral weight sums
+//! are exact in any order. `planted-real` carries non-dyadic weights,
+//! so its golden also pins the order in which detection sums them: a
+//! permutation must not depend on hash seed, process or machine.
 
 use commorder_exec::Engine;
 use commorder_reorder::ReorderContext;
-use commorder_sparse::CsrMatrix;
+use commorder_sparse::{CooMatrix, CsrMatrix};
 use commorder_synth::corpus;
+use commorder_synth::generators::PlantedPartition;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const SEED: u64 = 0xC0DE;
@@ -40,15 +46,44 @@ const GOLDEN: &[(&str, &[(&str, u64)])] = &[
             ("BOBA", 0xD78D_8BE1_A162_9F6D),
         ],
     ),
+    (
+        "planted-real",
+        &[
+            ("RABBIT", 0x0246_AA50_F596_AC5D),
+            ("RABBIT++", 0x2DBB_B21E_2530_66A5),
+        ],
+    ),
 ];
 
-fn corpus_matrix(name: &str) -> CsrMatrix {
+fn golden_matrix(name: &str) -> CsrMatrix {
+    if name == "planted-real" {
+        return planted_real();
+    }
     corpus::standard()
         .into_iter()
         .find(|e| e.name == name)
         .unwrap_or_else(|| panic!("{name} must exist in the standard corpus"))
         .generate()
         .expect("corpus entries generate")
+}
+
+/// A planted partition whose edge weights come from {0.1, 0.2, 0.3, 0.7}
+/// by coordinate (symmetric in `(r, c)`), so detection sums weights that
+/// have no exact binary representation.
+fn planted_real() -> CsrMatrix {
+    const WEIGHTS: [f32; 4] = [0.1, 0.2, 0.3, 0.7];
+    let g = PlantedPartition::uniform(8192, 64, 12.0, 0.15)
+        .generate(0x5EED)
+        .expect("planted partition generates");
+    let entries: Vec<(u32, u32, f32)> = g
+        .iter()
+        .map(|(r, c, _)| {
+            let k = (r.min(c) as usize * 7 + r.max(c) as usize * 3) % WEIGHTS.len();
+            (r, c, WEIGHTS[k])
+        })
+        .collect();
+    let coo = CooMatrix::from_entries(g.n_rows(), g.n_cols(), entries).expect("in bounds");
+    CsrMatrix::try_from(coo).expect("valid CSR")
 }
 
 /// FNV-1a over the permutation's new-id array, little-endian — the same
@@ -71,7 +106,7 @@ fn assert_golden_and_invariant_on(name: &str) {
         .iter()
         .find(|(matrix, _)| *matrix == name)
         .unwrap_or_else(|| panic!("{name} has golden fingerprints"));
-    let m = corpus_matrix(name);
+    let m = golden_matrix(name);
     for (technique, want) in *expect {
         let t = commorder_reorder::technique_by_name(technique, SEED)
             .unwrap_or_else(|| panic!("{technique} is registered"));
@@ -101,4 +136,9 @@ fn golden_and_parallel_permutations_on_single_component_entry() {
 #[test]
 fn golden_and_parallel_permutations_on_island_entry() {
     assert_golden_and_invariant_on("kmer-131k");
+}
+
+#[test]
+fn golden_and_parallel_permutations_on_real_weights() {
+    assert_golden_and_invariant_on("planted-real");
 }

@@ -1,4 +1,5 @@
-//! RABBIT's phase spans and counters under an installed obs registry.
+//! RABBIT's and RABBIT++'s phase spans and counters under an installed
+//! obs registry.
 //!
 //! The obs dispatcher is process-global: while this test has a registry
 //! installed, community detection run by any other test in the same
@@ -7,7 +8,7 @@
 //! its binary.
 
 use commorder_obs as obs;
-use commorder_reorder::{Rabbit, RandomOrder, Reordering};
+use commorder_reorder::{Rabbit, RabbitPlusPlus, RandomOrder, Reordering};
 use commorder_synth::generators::PlantedPartition;
 
 #[test]
@@ -59,4 +60,29 @@ fn rabbit_emits_phase_spans_and_counters() {
             .map(|s| s.count),
         Some(1)
     );
+
+    // RABBIT++ wraps a whole RABBIT run, then its insular scan and
+    // grouping, in its own root span.
+    let baseline = RabbitPlusPlus::new().run(&messy).unwrap();
+    let registry = std::sync::Arc::new(obs::Registry::new());
+    let guard = obs::install(registry.clone());
+    let observed = RabbitPlusPlus::new().run(&messy).unwrap();
+    drop(guard);
+    assert_eq!(
+        observed, baseline,
+        "telemetry must not change the reordering"
+    );
+    for path in [
+        "reorder.rabbitpp",
+        "reorder.rabbitpp/reorder.rabbit",
+        "reorder.rabbitpp/reorder.rabbit/community.detect",
+        "reorder.rabbitpp/rabbitpp.insular",
+        "reorder.rabbitpp/rabbitpp.group",
+    ] {
+        assert_eq!(
+            registry.span(path).map(|s| s.count),
+            Some(1),
+            "{path} runs once per RABBIT++ call"
+        );
+    }
 }

@@ -51,6 +51,14 @@ pub enum SparseError {
     /// An underlying I/O error (kind and message preserved as text so the
     /// error stays `Clone + Eq`).
     Io(String),
+    /// A stored value is NaN or infinite where a finite weight is
+    /// required (community detection uses values as edge weights).
+    NonFiniteValue {
+        /// Row of the first offending entry.
+        row: u32,
+        /// Column of the first offending entry.
+        col: u32,
+    },
     /// An experiment/pipeline configuration value is invalid (e.g. a
     /// zero-capacity cache, a kernel with zero tile width). Surfaced by
     /// validating builders so misconfiguration fails at construction
@@ -93,6 +101,9 @@ impl fmt::Display for SparseError {
                 write!(f, "parse error at line {line}: {message}")
             }
             SparseError::Io(msg) => write!(f, "i/o error: {msg}"),
+            SparseError::NonFiniteValue { row, col } => {
+                write!(f, "non-finite value at row {row}, column {col}")
+            }
             SparseError::InvalidConfig { what, message } => {
                 write!(f, "invalid configuration for {what}: {message}")
             }
@@ -154,6 +165,12 @@ mod tests {
         assert!(s.contains("index 3"), "{s}");
         assert!(s.contains("value 7"), "{s}");
         assert!(s.contains("non-decreasing"), "{s}");
+    }
+
+    #[test]
+    fn non_finite_value_names_row_and_column() {
+        let e = SparseError::NonFiniteValue { row: 3, col: 7 };
+        assert_eq!(e.to_string(), "non-finite value at row 3, column 7");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! removal, sub-matrix masking, and connectivity helpers.
 //!
 //! Reordering techniques treat the matrix as an (undirected) graph, so
-//! directed inputs are symmetrized first ([`symmetrize`]), exactly as the
+//! directed inputs are symmetrized first ([`symmetrize`], or
+//! [`undirected`] where self-loops are dropped too), exactly as the
 //! Rabbit Order and GOrder implementations do. [`mask_incident`] /
 //! [`mask_rows`] implement the paper's insular-sub-matrix experiment
 //! (Fig. 6: "evaluated by masking all non-zeros that do not connect to
@@ -18,6 +19,25 @@ use crate::{CsrMatrix, SparseError};
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
 pub fn symmetrize(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
+    union_with_transpose(a, true)
+}
+
+/// Returns the undirected simple graph of `a`: `A ∪ Aᵀ` with values summed
+/// on coincident entries and the diagonal dropped. Equal to
+/// `remove_self_loops(&symmetrize(a)?)`, built in one exact-size pass
+/// instead of two copies.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+pub fn undirected(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
+    union_with_transpose(a, false)
+}
+
+/// `A ∪ Aᵀ`, optionally without the diagonal. Rows are linear merges of
+/// the sorted rows of `a` and its transpose: one pass counts each output
+/// row, a second fills arrays allocated at their exact size.
+fn union_with_transpose(a: &CsrMatrix, keep_diagonal: bool) -> Result<CsrMatrix, SparseError> {
     if !a.is_square() {
         return Err(SparseError::DimensionMismatch {
             expected: "square matrix".to_string(),
@@ -25,45 +45,59 @@ pub fn symmetrize(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
         });
     }
     let t = a.transpose();
-    merge_sorted(a, &t)
-}
-
-/// Entry-wise union of two same-shape CSR matrices, summing values on
-/// coincident coordinates. Both inputs have sorted rows, so each output row
-/// is a linear merge.
-fn merge_sorted(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    debug_assert_eq!(a.n_rows(), b.n_rows());
-    debug_assert_eq!(a.n_cols(), b.n_cols());
     let n = a.n_rows();
     let mut row_offsets = Vec::with_capacity(n as usize + 1);
     row_offsets.push(0u32);
-    let mut col_indices = Vec::with_capacity(a.nnz() + b.nnz());
-    let mut values = Vec::with_capacity(a.nnz() + b.nnz());
+    let too_large =
+        || SparseError::TooLarge(format!("A ∪ Aᵀ of a {n} x {n} matrix exceeds u32 entries"));
+    let mut nnz = 0u32;
     for r in 0..n {
-        let (ac, av) = a.row(r);
-        let (bc, bv) = b.row(r);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ac.len() || j < bc.len() {
-            let take_a = j >= bc.len() || (i < ac.len() && ac[i] <= bc[j]);
-            let take_b = i >= ac.len() || (j < bc.len() && bc[j] <= ac[i]);
-            if take_a && take_b && ac[i] == bc[j] {
-                col_indices.push(ac[i]);
-                values.push(av[i] + bv[j]);
-                i += 1;
-                j += 1;
-            } else if take_a {
-                col_indices.push(ac[i]);
-                values.push(av[i]);
-                i += 1;
-            } else {
-                col_indices.push(bc[j]);
-                values.push(bv[j]);
-                j += 1;
+        let mut len = 0u32;
+        merge_row(a.row(r), t.row(r), |c, _| {
+            if keep_diagonal || c != r {
+                len += 1;
             }
-        }
-        row_offsets.push(col_indices.len() as u32);
+        });
+        nnz = nnz.checked_add(len).ok_or_else(too_large)?;
+        row_offsets.push(nnz);
     }
-    CsrMatrix::new(n, a.n_cols(), row_offsets, col_indices, values)
+    let mut col_indices = Vec::with_capacity(nnz as usize);
+    let mut values = Vec::with_capacity(nnz as usize);
+    for r in 0..n {
+        merge_row(a.row(r), t.row(r), |c, v| {
+            if keep_diagonal || c != r {
+                col_indices.push(c);
+                values.push(v);
+            }
+        });
+    }
+    CsrMatrix::new(n, n, row_offsets, col_indices, values)
+}
+
+/// Calls `on_entry(col, value)` for every column of the sorted union of two
+/// sorted rows, in ascending column order, summing values that share a
+/// column.
+fn merge_row(
+    (ac, av): (&[u32], &[f32]),
+    (bc, bv): (&[u32], &[f32]),
+    mut on_entry: impl FnMut(u32, f32),
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ac.len() || j < bc.len() {
+        let take_a = j >= bc.len() || (i < ac.len() && ac[i] <= bc[j]);
+        let take_b = i >= ac.len() || (j < bc.len() && bc[j] <= ac[i]);
+        if take_a && take_b && ac[i] == bc[j] {
+            on_entry(ac[i], av[i] + bv[j]);
+            i += 1;
+            j += 1;
+        } else if take_a {
+            on_entry(ac[i], av[i]);
+            i += 1;
+        } else {
+            on_entry(bc[j], bv[j]);
+            j += 1;
+        }
+    }
 }
 
 /// Returns a copy of `a` with all diagonal entries removed.
@@ -224,6 +258,15 @@ mod tests {
     fn symmetrize_rejects_rectangular() {
         let m = CsrMatrix::new(1, 2, vec![0, 1], vec![1], vec![1.0]).unwrap();
         assert!(symmetrize(&m).is_err());
+    }
+
+    #[test]
+    fn undirected_is_symmetrize_without_self_loops() {
+        let a = directed_sample();
+        let u = undirected(&a).unwrap();
+        assert_eq!(u, remove_self_loops(&symmetrize(&a).unwrap()));
+        assert_eq!(u.nnz(), 4);
+        assert!(undirected(&CsrMatrix::new(1, 2, vec![0, 0], vec![], vec![]).unwrap()).is_err());
     }
 
     #[test]

@@ -127,6 +127,15 @@ fn self_loop_removal_and_symmetrize_compose() {
 }
 
 #[test]
+fn undirected_equals_symmetrize_then_remove_self_loops() {
+    run_cases("undirected-one-pass", DEFAULT_CASES, |rng| {
+        let m = arb_csr(rng, 25, 5);
+        let reference = ops::remove_self_loops(&ops::symmetrize(&m).expect("square"));
+        assert_eq!(ops::undirected(&m).expect("square"), reference);
+    });
+}
+
+#[test]
 fn connected_components_partition_vertices() {
     run_cases("components-partition", DEFAULT_CASES, |rng| {
         let m = arb_csr(rng, 25, 4);
