@@ -1,4 +1,6 @@
-use crate::lines::{count_miss, Geometry, LineSet, Ways, INVALID};
+use crate::lines::{
+    count_eviction, count_flush, count_miss, Geometry, LineSet, DIRTY, INVALID, REUSED,
+};
 use crate::trace::Access;
 use crate::CacheConfig;
 
@@ -81,18 +83,39 @@ pub struct AccessOutcome {
 /// Models the A6000 L2 at sector granularity. Feed it [`Access`]es via
 /// [`LruCache::access`], then call [`LruCache::finish`] to flush dirty
 /// lines and collect the final [`CacheStats`].
+///
+/// Each set keeps its ways in recency order: way 0 holds the most
+/// recently used line, the last valid way the least recently used one,
+/// and empty ways form a suffix. A hit on way 0, the common case on
+/// kernel traces, is one compare and one flag OR. A hit on a deeper way
+/// shifts the ways above it down by one and moves the line to way 0. A
+/// miss evicts the last way if the set is full, shifts the set down by
+/// one and fills way 0. The victim is always the last way: no search.
+///
+/// Each way also carries its line's *fill slot*: the way it would hold
+/// if every fill took the first empty way, then the evicted line's way.
+/// [`LruCache::dirty_lines`] drains in that order, so a hierarchy
+/// forwards the end-of-run L1 drain in the same order whatever the
+/// recency order.
 #[derive(Debug, Clone)]
 pub struct LruCache {
     config: CacheConfig,
     geometry: Geometry,
-    ways: Ways,
-    /// Per-slot recency stamp (parallel to `ways`); larger = more
-    /// recently used, 0 = never filled.
-    stamps: Vec<u64>,
+    /// Resident line of each way ([`INVALID`] when empty); set `k` owns
+    /// ways `k * assoc .. (k + 1) * assoc`, most recent first.
+    tags: Vec<u64>,
+    /// Per way (parallel to `tags`): the dirty and reused flags in the
+    /// low [`SLOT_SHIFT`] bits, and above them the line's fill slot. A
+    /// `u64` holds the slot of any `u32` associativity.
+    meta: Vec<u64>,
     stats: CacheStats,
     seen_lines: LineSet,
-    clock: u64,
 }
+
+/// Bits of a `meta` word below the fill slot: the way flags.
+const SLOT_SHIFT: u32 = 2;
+/// Mask of the way flags within a `meta` word.
+const FLAGS: u64 = (1 << SLOT_SHIFT) - 1;
 
 impl LruCache {
     /// Creates an empty cache with the given geometry.
@@ -106,14 +129,13 @@ impl LruCache {
         LruCache {
             config,
             geometry,
-            ways: Ways::new(&geometry),
-            stamps: vec![0; geometry.lines()],
+            tags: vec![INVALID; geometry.lines()],
+            meta: vec![0; geometry.lines()],
             stats: CacheStats {
                 line_bytes: config.line_bytes,
                 ..CacheStats::default()
             },
             seen_lines: LineSet::default(),
-            clock: 0,
         }
     }
 
@@ -141,16 +163,33 @@ impl LruCache {
     /// needed by multi-level hierarchies to forward write-backs.
     #[inline]
     pub fn access_detailed(&mut self, access: Access) -> AccessOutcome {
-        self.clock += 1;
         self.stats.accesses += 1;
         let write = access.is_write();
+        let dirty = u64::from(if write { DIRTY } else { 0 });
         let line = self.geometry.line(access.addr());
-        let assoc = self.geometry.assoc;
         let base = self.geometry.base(line);
+        let end = base + self.geometry.assoc;
+        let tags = &mut self.tags[base..end];
+        let meta = &mut self.meta[base..end];
 
-        if let Some(slot) = self.ways.find(base, line) {
-            self.stamps[slot] = self.clock;
-            self.ways.touch(slot, write);
+        if tags[0] == line {
+            meta[0] |= u64::from(REUSED) | dirty;
+            self.stats.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+            };
+        }
+        if let Some(w) = tags.iter().skip(1).position(|&t| t == line) {
+            // Most promotions move one or two ways, where an element loop
+            // beats a `copy_within` call.
+            let hit = meta[w + 1];
+            for i in (0..=w).rev() {
+                tags[i + 1] = tags[i];
+                meta[i + 1] = meta[i];
+            }
+            tags[0] = line;
+            meta[0] = hit | u64::from(REUSED) | dirty;
             self.stats.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -159,23 +198,25 @@ impl LruCache {
         }
 
         count_miss(&mut self.stats, self.seen_lines.insert(line), write);
-        // Victim: the first minimum stamp. Empty ways carry stamp 0 and
-        // valid ones a distinct stamp >= 1, so this is the first empty
-        // way while one exists, and the true-LRU way after that.
-        let stamps = &self.stamps[base..base + assoc];
-        let mut victim = 0;
-        for (w, &stamp) in stamps.iter().enumerate().skip(1) {
-            if stamp < stamps[victim] {
-                victim = w;
-            }
-        }
-        let slot = base + victim;
-        let evicted = (self.ways.tags[slot] != INVALID).then(|| {
-            let (old, dirty) = self.ways.evict(slot, &mut self.stats);
-            (self.geometry.addr(old), dirty)
-        });
-        self.ways.fill(slot, line, write);
-        self.stamps[slot] = self.clock;
+        let last = tags.len() - 1;
+        // The fill slot is the one the line would take if every fill went
+        // to the first empty way, then to the LRU line's slot: the count of
+        // valid ways while the set has room, the victim's slot after that.
+        let (kept, slot, evicted) = if tags[last] == INVALID {
+            let valid = tags.iter().position(|&t| t == INVALID).unwrap_or(last);
+            (valid, valid as u64, None)
+        } else {
+            let victim = meta[last];
+            let dirty = count_eviction(&mut self.stats, (victim & FLAGS) as u8);
+            let addr = self.geometry.addr(tags[last]);
+            (last, victim >> SLOT_SHIFT, Some((addr, dirty)))
+        };
+        // A miss on a full set shifts every way: `copy_within`'s vector
+        // copy beats the element loop there.
+        tags.copy_within(..kept, 1);
+        meta.copy_within(..kept, 1);
+        tags[0] = line;
+        meta[0] = slot << SLOT_SHIFT | dirty;
         AccessOutcome {
             hit: false,
             evicted,
@@ -186,7 +227,11 @@ impl LruCache {
     /// accounting for never-reused residents) and returns the statistics.
     #[must_use]
     pub fn finish(mut self) -> CacheStats {
-        self.ways.flush(&mut self.stats);
+        for (&tag, &meta) in self.tags.iter().zip(&self.meta) {
+            if tag != INVALID {
+                count_flush(&mut self.stats, (meta & FLAGS) as u8);
+            }
+        }
         self.stats
     }
 
@@ -198,13 +243,25 @@ impl LruCache {
 
     /// Line-aligned byte addresses of all currently resident dirty lines
     /// (what a flush would write back) — used by multi-level hierarchies
-    /// to forward the final L1 drain into the L2.
+    /// to forward the final L1 drain into the L2. Sets come in order, and
+    /// each set's lines in fill-slot order, not recency order.
     #[must_use]
     pub fn dirty_lines(&self) -> Vec<u64> {
-        self.ways
-            .dirty_lines()
-            .map(|line| self.geometry.addr(line))
-            .collect()
+        let assoc = self.geometry.assoc;
+        let mut out = Vec::new();
+        let mut set = Vec::with_capacity(assoc);
+        for (tags, meta) in self.tags.chunks(assoc).zip(self.meta.chunks(assoc)) {
+            set.clear();
+            set.extend(
+                tags.iter()
+                    .zip(meta)
+                    .filter(|&(&tag, &meta)| tag != INVALID && meta & u64::from(DIRTY) != 0)
+                    .map(|(&tag, &meta)| (meta >> SLOT_SHIFT, tag)),
+            );
+            set.sort_unstable();
+            out.extend(set.iter().map(|&(_, line)| self.geometry.addr(line)));
+        }
+        out
     }
 }
 
@@ -251,6 +308,55 @@ mod tests {
         c.access(read(128)); // evicts 64
         assert!(c.access(read(0)), "0 must survive");
         assert!(!c.access(read(64)), "64 must have been evicted");
+    }
+
+    /// One set of four 32-byte ways: every line maps to it.
+    fn one_set() -> LruCache {
+        LruCache::new(CacheConfig {
+            capacity_bytes: 4 * 32,
+            line_bytes: 32,
+            associativity: 4,
+        })
+    }
+
+    #[test]
+    fn deep_hit_promotes_and_leaves_the_old_mru_evictable() {
+        let mut c = one_set();
+        for line in 0..4u64 {
+            c.access(read(line * 32)); // recency: 3, 2, 1, 0
+        }
+        assert!(c.access(read(0)), "line 0 sits in the deepest way");
+        // Recency 0, 3, 2, 1: misses evict 1, 2, then 3, the old MRU.
+        let victims: Vec<_> = (4..7u64)
+            .map(|line| c.access_detailed(read(line * 32)).evicted)
+            .collect();
+        assert_eq!(
+            victims,
+            [Some((32, false)), Some((64, false)), Some((96, false))]
+        );
+        assert!(c.access(read(0)), "the promoted line outlives the old MRU");
+        let victim = c.access_detailed(read(7 * 32)).evicted;
+        assert_eq!(victim, Some((128, false)), "line 4 is now the LRU");
+    }
+
+    #[test]
+    fn dirty_lines_drain_in_fill_slot_order() {
+        let mut c = one_set();
+        for line in 0..4u64 {
+            c.access(write(line * 32)); // slots 0..4
+        }
+        c.access(write(4 * 32)); // evicts line 0, refills slot 0
+        c.access(read(5 * 32)); // evicts line 1, refills slot 1 clean
+        c.access(write(2 * 32)); // line 2 becomes the MRU
+
+        // Recency order is 2, 5, 4, 3; slot order 4, 5, 2, 3; 5 is clean.
+        assert_eq!(c.dirty_lines(), [4 * 32, 2 * 32, 3 * 32]);
+        let s = c.finish();
+        assert_eq!(
+            s.writebacks,
+            2 + 3,
+            "two dirty victims, three dirty residents"
+        );
     }
 
     #[test]

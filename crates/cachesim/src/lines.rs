@@ -6,10 +6,13 @@
 //! * [`Geometry`] — the address → line → set split, with the line shift
 //!   and set mask (or divisor, for non-power-of-two set counts such as
 //!   the full A6000's 12,288 sets) computed once at construction;
-//! * [`Ways`] — the resident lines as a struct of arrays: tags with an
-//!   [`INVALID`] sentinel, plus one flag byte (dirty, reused) per way.
-//!   Policy state (LRU stamps, Belady next uses, PLRU tree bits) lives in
-//!   parallel arrays owned by each policy;
+//! * [`Ways`] — the resident lines of [`PlruCache`] and
+//!   [`simulate_belady`] as a struct of arrays: tags with an [`INVALID`]
+//!   sentinel, plus one flag byte (dirty, reused) per way, each line kept
+//!   in the way it was filled into. Policy state (Belady next uses, PLRU
+//!   tree bits) lives in parallel arrays owned by each policy.
+//!   [`LruCache`] keeps its own recency-ordered ways instead (see its
+//!   docs) and shares only the flag bits and their accounting;
 //! * [`LineSet`] / [`LineMap`] — first-touch (compulsory-miss) tracking
 //!   and line-keyed values (Belady's last-seen index, the
 //!   fully-associative twin's slot), dense over line indices.
@@ -111,15 +114,34 @@ impl Geometry {
 }
 
 /// Way flag: the resident line has been written.
-const DIRTY: u8 = 1;
+pub(crate) const DIRTY: u8 = 1;
 /// Way flag: the resident line has hit since its fill.
-const REUSED: u8 = 2;
+pub(crate) const REUSED: u8 = 2;
+
+/// Counts the eviction of a resident with way `flags` (eviction, dead
+/// line if never reused, write-back if dirty); returns its dirty flag.
+#[inline]
+pub(crate) fn count_eviction(stats: &mut CacheStats, flags: u8) -> bool {
+    let dirty = flags & DIRTY != 0;
+    stats.evictions += 1;
+    stats.dead_lines += u64::from(flags & REUSED == 0);
+    stats.writebacks += u64::from(dirty);
+    dirty
+}
+
+/// End-of-run accounting of a resident with way `flags`: a write-back if
+/// dirty, a dead line if never reused.
+#[inline]
+pub(crate) fn count_flush(stats: &mut CacheStats, flags: u8) {
+    stats.writebacks += u64::from(flags & DIRTY != 0);
+    stats.dead_lines += u64::from(flags & REUSED == 0);
+}
 
 /// Resident lines of every set, struct-of-arrays: `tags[s]` is the line
 /// in way slot `s` ([`INVALID`] when empty), `flags[s]` its dirty and
 /// reused bits. Set `k` owns slots `k * assoc .. (k + 1) * assoc`.
 ///
-/// Every policy fills the first free way and never invalidates one, so
+/// PLRU and Belady fill the first free way and never invalidate one, so
 /// the valid ways of a set are always a prefix of it.
 #[derive(Debug, Clone)]
 pub(crate) struct Ways {
@@ -173,17 +195,11 @@ impl Ways {
         self.flags[slot] = if write { DIRTY } else { 0 };
     }
 
-    /// Counts the eviction of `slot`'s resident (eviction, dead line if
-    /// never reused, write-back if dirty) and returns its line and dirty
-    /// flag. The caller overwrites the slot.
+    /// Counts the eviction of `slot`'s resident (see [`count_eviction`]).
+    /// The caller overwrites the slot.
     #[inline]
-    pub(crate) fn evict(&self, slot: usize, stats: &mut CacheStats) -> (u64, bool) {
-        let flags = self.flags[slot];
-        let dirty = flags & DIRTY != 0;
-        stats.evictions += 1;
-        stats.dead_lines += u64::from(flags & REUSED == 0);
-        stats.writebacks += u64::from(dirty);
-        (self.tags[slot], dirty)
+    pub(crate) fn evict(&self, slot: usize, stats: &mut CacheStats) {
+        count_eviction(stats, self.flags[slot]);
     }
 
     /// End-of-run flush: write-backs for dirty residents, dead lines for
@@ -191,19 +207,9 @@ impl Ways {
     pub(crate) fn flush(&self, stats: &mut CacheStats) {
         for (&tag, &flags) in self.tags.iter().zip(&self.flags) {
             if tag != INVALID {
-                stats.writebacks += u64::from(flags & DIRTY != 0);
-                stats.dead_lines += u64::from(flags & REUSED == 0);
+                count_flush(stats, flags);
             }
         }
-    }
-
-    /// Resident dirty lines, in slot order.
-    pub(crate) fn dirty_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tags
-            .iter()
-            .zip(&self.flags)
-            .filter(|&(&tag, &flags)| tag != INVALID && flags & DIRTY != 0)
-            .map(|(&tag, _)| tag)
     }
 }
 

@@ -1,5 +1,6 @@
-//! Differential test: the line-indexed LRU, PLRU, Belady and Three-C
-//! classifier against a straightforward reference simulator (an
+//! Differential test: the line-indexed LRU (with its end-of-run drain
+//! order and the two-level hierarchy built on it), PLRU, Belady and
+//! Three-C classifier against a straightforward reference simulator (an
 //! array-of-structs `Way` per set, `valid` flags, and `HashSet`/`HashMap`
 //! line tables).
 //!
@@ -11,6 +12,7 @@ use std::collections::{HashMap, HashSet};
 
 use commorder_cachesim::belady::simulate_belady;
 use commorder_cachesim::classify::{classify, MissClasses};
+use commorder_cachesim::hierarchy::{CacheHierarchy, HierarchyStats};
 use commorder_cachesim::plru::PlruCache;
 use commorder_cachesim::{Access, AccessOutcome, CacheConfig, CacheStats, LruCache};
 use commorder_check::propcheck::{run_cases, DEFAULT_CASES};
@@ -138,9 +140,43 @@ mod reference {
             }
         }
 
+        /// Resident dirty lines in slot order: each fill takes the first
+        /// empty way, then the LRU victim's way.
+        pub fn dirty_lines(&self) -> Vec<u64> {
+            self.ways
+                .iter()
+                .filter(|w| w.valid && w.dirty)
+                .map(|w| w.tag * u64::from(self.config.line_bytes))
+                .collect()
+        }
+
         pub fn finish(mut self) -> CacheStats {
             flush(&self.ways, &mut self.stats);
             self.stats
+        }
+    }
+
+    /// An L1 + L2 stack of reference LRUs with the hierarchy's
+    /// forwarding: dirty L1 victims are written into L2, L1 read misses
+    /// read L2, and at the end L1's dirty lines drain into L2.
+    pub fn hierarchy(l1: CacheConfig, l2: CacheConfig, trace: &[Access]) -> HierarchyStats {
+        let mut upper = Lru::new(l1);
+        let mut lower = Lru::new(l2);
+        for &acc in trace {
+            let outcome = upper.access(acc);
+            if let Some((addr, true)) = outcome.evicted {
+                lower.access(Access::write(addr));
+            }
+            if !outcome.hit && !acc.is_write() {
+                lower.access(acc);
+            }
+        }
+        for addr in upper.dirty_lines() {
+            lower.access(Access::write(addr));
+        }
+        HierarchyStats {
+            l1: upper.finish(),
+            l2: lower.finish(),
         }
     }
 
@@ -385,6 +421,11 @@ fn assert_all_policies_match(config: CacheConfig, trace: &[Access]) {
             "LRU outcome of access {i} ({acc:?}) on {config:?}"
         );
     }
+    assert_eq!(
+        lru.dirty_lines(),
+        lru_ref.dirty_lines(),
+        "LRU drain order on {config:?}"
+    );
     assert_eq!(lru.finish(), lru_ref.finish(), "LRU stats on {config:?}");
 
     if config.associativity.is_power_of_two() {
@@ -426,6 +467,39 @@ fn every_policy_matches_the_reference_on_random_traces() {
             let pool = 1 + rng.gen_range(3 * lines);
             let trace = arb_trace(rng, config.line_bytes, pool);
             assert_all_policies_match(config, &trace);
+        });
+    }
+}
+
+#[test]
+fn hierarchy_matches_a_stack_of_reference_lrus() {
+    // Each geometry of `configs()` as the L1 over a larger L2 with the
+    // same line size: the drain at the end forwards L1's dirty lines in
+    // fill-slot order, so it also pins that order.
+    for l1 in configs() {
+        let l2 = CacheConfig {
+            capacity_bytes: l1.capacity_bytes * 4,
+            associativity: 4,
+            ..l1
+        };
+        let name = format!(
+            "reference-hierarchy-{}b-{}w-{}s",
+            l1.line_bytes,
+            l1.associativity,
+            l1.num_sets()
+        );
+        run_cases(&name, DEFAULT_CASES / 8, |rng| {
+            let pool = 1 + rng.gen_range(6 * l1.num_lines() as u64);
+            let trace = arb_trace(rng, l1.line_bytes, pool);
+            let mut h = CacheHierarchy::new(l1, l2);
+            for &acc in &trace {
+                h.access(acc);
+            }
+            assert_eq!(
+                h.finish(),
+                reference::hierarchy(l1, l2, &trace),
+                "hierarchy stats for L1 {l1:?}"
+            );
         });
     }
 }

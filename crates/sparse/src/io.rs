@@ -212,8 +212,10 @@ pub fn write_matrix_market<W: Write>(mut writer: W, a: &CsrMatrix) -> Result<(),
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::Parse`] on malformed lines and
-/// [`SparseError::Io`] on read failures.
+/// Returns [`SparseError::Parse`] on malformed lines,
+/// [`SparseError::TooLarge`] when the largest id is `u32::MAX` (the
+/// vertex count would not fit a `u32`) and [`SparseError::Io`] on read
+/// failures.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<CooMatrix, SparseError> {
     let mut edges: Vec<(u32, u32, f32)> = Vec::new();
     let mut max_id = 0u32;
@@ -240,7 +242,15 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CooMatrix, SparseError> {
         max_id = max_id.max(s).max(d);
         edges.push((s, d, 1.0));
     }
-    let n = if edges.is_empty() { 0 } else { max_id + 1 };
+    let n = if edges.is_empty() {
+        0
+    } else {
+        max_id.checked_add(1).ok_or_else(|| {
+            SparseError::TooLarge(format!(
+                "edge list vertex id {max_id} leaves no room for a u32 vertex count"
+            ))
+        })?
+    };
     CooMatrix::from_entries(n, n, edges)
 }
 
@@ -370,5 +380,17 @@ mod tests {
             read_edge_list("7\n".as_bytes()),
             Err(SparseError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn edge_list_rejects_an_id_with_no_room_for_the_count() {
+        // `u32::MAX + 1` vertices: an error naming the id, not an
+        // overflow panic or a bound-0 index error.
+        match read_edge_list("4294967295 0\n".as_bytes()) {
+            Err(SparseError::TooLarge(msg)) => assert!(msg.contains("4294967295"), "{msg}"),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        let coo = read_edge_list("4294967294 0\n".as_bytes());
+        assert!(!matches!(coo, Err(SparseError::TooLarge(_))));
     }
 }
