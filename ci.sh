@@ -38,6 +38,11 @@ git diff --exit-code -- fixtures/analyze/golden crates/check/tests/golden
 echo "== clippy (workspace deny-list)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "== rustdoc (warnings are errors)"
+# Unresolved or ambiguous intra-doc links fail here, so a renamed or
+# deleted item cannot leave dangling doc references behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
 echo "== tier-1: build + test"
 cargo build --release -q
 cargo test -q --workspace

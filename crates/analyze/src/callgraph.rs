@@ -29,14 +29,14 @@
 //! collision class). Call sites that name no workspace function are
 //! counted as external — recorded, never guessed. The graph carries
 //! three declared seed sets (determinism, hot-path, worker) whose
-//! reachability closures drive the [`crate::hotpath`],
-//! [`crate::concurrency`], and effect-inference passes; the
-//! serializable projection ([`CallGraphReport`]) is emitted in
-//! `analyze --json`; its invariants are asserted in `tests/invariants.rs`.
+//! reachability closures scope the rules [`crate::effects`] derives
+//! from its effect sources; the serializable projection
+//! ([`CallGraphReport`]) is emitted in `analyze --json`; its
+//! invariants are asserted in `tests/invariants.rs`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::items::{code_indices, in_ranges};
+use crate::items::{code_indices, double_colon_at, ident_is, in_ranges, is_punct};
 use crate::layering::cyclic_sccs;
 use crate::lexer::{Token, TokenKind};
 use crate::model::{CallGraphReport, CrateData, FileRole};
@@ -111,24 +111,6 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "unsafe", "where",
     "while", "yield",
 ];
-
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
-}
-
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
-    tok.kind == TokenKind::Ident && tok.text(src) == word
-}
-
-/// `true` when code indices `at` and `at + 1` form an adjacent `::`.
-fn double_colon_at(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
-    let (Some(&a), Some(&b)) = (code.get(at), code.get(at + 1)) else {
-        return false;
-    };
-    is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
-}
 
 /// `true` for names a call site could bind: first char lowercase or
 /// `_` (raw-identifier prefixes are stripped first).

@@ -15,8 +15,8 @@
 //! | XT05xx | Determinism lint (report-affecting modules)       |
 //! | XT06xx | Static telemetry-name cross-check                 |
 //! | XT07xx | Allowlist hygiene                                 |
-//! | XT08xx | Hot-path allocation lint (call-graph reachable)   |
-//! | XT09xx | Concurrency-safety audit (engine crates)          |
+//! | XT08xx | Hot-path allocation (effect sources in hot loops) |
+//! | XT09xx | Concurrency: engine files, worker-path sources    |
 //! | XT10xx | Interprocedural effect inference                  |
 
 /// One row of the code table.

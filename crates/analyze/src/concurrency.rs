@@ -1,8 +1,8 @@
-//! The concurrency-safety audit (`XT0901`–`XT0905`).
+//! The engine-file concurrency audit (`XT0901`–`XT0903`).
 //!
 //! A panicking or deadlocking worker breaks the engine's determinism
 //! contract, so the engine crates (see `AnalyzerConfig::engine_crates`)
-//! get five lexical checks on top of the workspace-wide rules:
+//! get three lexical checks on top of the workspace-wide rules:
 //!
 //! * `XT0901` — an `unsafe` token whose nearest preceding non-trivia
 //!   neighbour is not a comment containing `SAFETY:`;
@@ -11,32 +11,20 @@
 //!   scope (temporaries consumed within their own statement do not
 //!   count);
 //! * `XT0903` — `Ordering::Relaxed` outside tests: every relaxed
-//!   atomic must be audited through the allowlist;
-//! * `XT0904` / `XT0905` — `.unwrap()`/`.expect()` and slice indexing
-//!   in functions reachable from a worker-closure seed, workspace-wide
-//!   via the call graph (the static counterparts of the engine's
-//!   panic-containment wrapper).
+//!   atomic must be audited through the allowlist.
+//!
+//! The worker-path rules of the same family — `XT0904`
+//! (`.unwrap()`/`.expect()`) and `XT0905` (slice indexing) in functions
+//! reachable from a worker seed — are filters over the effect sources
+//! in [`crate::effects`].
 
 use std::collections::BTreeSet;
 
-use crate::callgraph::CallGraph;
 use crate::codes;
 use crate::findings::{Finding, Severity};
-use crate::items::{code_indices, in_ranges};
+use crate::items::{code_indices, ident_in, ident_is, in_ranges, is_punct};
 use crate::lexer::{Token, TokenKind};
 use crate::model::CrateData;
-
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
-}
-
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
-    tok.kind == TokenKind::Ident && tok.text(src) == word
-}
-
-fn ident_in(tok: &Token, src: &str, words: &[&str]) -> bool {
-    tok.kind == TokenKind::Ident && words.contains(&tok.text(src))
-}
 
 /// Token-anchored finding constructor shared by every rule here.
 fn at(code: &'static str, f: &crate::model::FileData, t: &Token, message: String) -> Finding {
@@ -51,14 +39,9 @@ fn at(code: &'static str, f: &crate::model::FileData, t: &Token, message: String
     }
 }
 
-/// Runs the audit: per-file rules over the engine crates plus
-/// graph-reachability rules over the whole workspace.
+/// Runs the audit over every file of the engine crates.
 #[must_use]
-pub fn check(
-    crates: &[CrateData],
-    graph: &CallGraph,
-    engine_crates: &BTreeSet<String>,
-) -> Vec<Finding> {
+pub fn check(crates: &[CrateData], engine_crates: &BTreeSet<String>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for c in crates {
         if !engine_crates.contains(&c.dir_name) {
@@ -68,7 +51,6 @@ pub fn check(
             scan_engine_file(f, &mut findings);
         }
     }
-    worker_reach_rules(crates, graph, &mut findings);
     findings
 }
 
@@ -240,64 +222,4 @@ fn enclosing_block_end(src: &str, tokens: &[Token], code: &[usize], ci: usize) -
         }
     }
     src.len()
-}
-
-/// `XT0904`/`XT0905` over every function reachable from a worker seed.
-fn worker_reach_rules(crates: &[CrateData], graph: &CallGraph, findings: &mut Vec<Finding>) {
-    let reached = graph.reachable(&graph.seeds_worker);
-    for (ni, node) in graph.nodes.iter().enumerate() {
-        let Some(seed) = reached[ni] else { continue };
-        let seed_name = &graph.nodes[seed].name;
-        let f = &crates[node.crate_idx].files[node.file_idx];
-        let src = &f.src;
-        let tokens = &f.tokens;
-        let code = code_indices(tokens);
-        for (ci, &idx) in code.iter().enumerate() {
-            let t = &tokens[idx];
-            if t.start < node.body.0
-                || t.start >= node.body.1
-                || in_ranges(t.start, &f.test_ranges)
-                || in_ranges(t.start, &f.macro_ranges)
-                || graph.owner(node.crate_idx, node.file_idx, t.start) != Some(ni)
-            {
-                continue;
-            }
-            let after_dot = ci >= 1 && is_punct(&tokens[code[ci - 1]], src, '.');
-            let opens_call = code
-                .get(ci + 1)
-                .is_some_and(|&k| is_punct(&tokens[k], src, '('));
-            if after_dot && opens_call && ident_in(t, src, &["expect", "unwrap"]) {
-                findings.push(at(
-                    codes::WORKER_PANIC_CALL,
-                    f,
-                    t,
-                    format!(
-                        "`.{}()` in `{}`, reachable from worker seed `{seed_name}`: a panicking \
-                         worker breaks the engine contract",
-                        t.text(src),
-                        node.name
-                    ),
-                ));
-            }
-            // Indexing: `expr[…]` — the `[` directly after an
-            // identifier or a closing `)`/`]`.
-            if is_punct(t, src, '[') && ci >= 1 {
-                let p = &tokens[code[ci - 1]];
-                let indexable =
-                    p.kind == TokenKind::Ident || is_punct(p, src, ')') || is_punct(p, src, ']');
-                if indexable && !ident_in(p, src, &["else", "in", "match", "return"]) {
-                    findings.push(at(
-                        codes::WORKER_INDEXING,
-                        f,
-                        t,
-                        format!(
-                            "slice indexing in `{}`, reachable from worker seed `{seed_name}`: \
-                             an out-of-bounds panic propagates into the engine",
-                            node.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
 }

@@ -4,14 +4,17 @@
 //! — `allocates`, `locks`, `panics`, `does_io`, `nondeterministic`,
 //! `unsafe` — computed in two steps:
 //!
-//! 1. **Local sources.** Each body is scanned for lexical effect
-//!    sources: container constructors and `.collect()`/`.clone()`
-//!    (allocation), `.lock()`/`.try_lock()` (locking), the
-//!    panic-family macros (`panic!`, `unreachable!`, `todo!`,
-//!    `unimplemented!` — asserts and `unwrap` stay with `XT0904`),
+//! 1. **Local sources.** One token scan per file records every
+//!    lexical effect source with its owning node: container
+//!    construction, `.collect()`/`.to_vec()`, `.clone()`/
+//!    `.to_owned()`/`.to_string()` and `format!` (allocation),
+//!    `.lock()`/`.try_lock()` (locking), the panic-family macros
+//!    (`panic!`, `unreachable!`, `todo!`, `unimplemented!`),
 //!    filesystem/stream access and the print macros (I/O), hash-order
 //!    iteration, clocks, environment reads and thread identity
-//!    (nondeterminism), and `unsafe` tokens.
+//!    (nondeterminism), and `unsafe` tokens. The same scan records
+//!    `.unwrap()`/`.expect()` calls and slice indexing, which set no
+//!    lattice bit and only feed the worker-path rules.
 //! 2. **Fixed point.** Masks propagate bottom-up over the SCC
 //!    condensation of the call graph: Tarjan emits components
 //!    callees-first, every member of a component takes the union of
@@ -26,14 +29,21 @@
 //! `via` next-hops therefore terminates at a local source, which is
 //! how [`Effects::witness_path`] prints explanations.
 //!
-//! The findings replace the seed-closure heuristics with inference:
+//! Every call-graph rule is a filter over those sources (or over the
+//! inferred masks at call sites):
 //!
+//! * `XT0801`–`XT0804` — an allocation source (construction,
+//!   materialization, duplication, `format!`) inside a loop of a
+//!   function reachable from a hot-path seed;
+//! * `XT0904`/`XT0905` — an `unwrap`/`expect` or indexing source in a
+//!   worker-reachable function, workspace-wide;
 //! * `XT1001` — a hash-iteration or thread-identity source in a
 //!   function reachable from a determinism seed (clock and
 //!   environment sources stay with the audited `XT0502`/`XT0503`);
 //! * `XT1002` — a call inside a loop of a per-access function whose
 //!   callee's inferred mask allocates;
-//! * `XT1003` — a panic-family macro in a worker-reachable function;
+//! * `XT1003` — a panic-family macro in a worker-reachable function
+//!   outside the engine crates;
 //! * `XT1004` — a lock acquired outside the engine crates in a
 //!   worker-reachable function;
 //! * `XT1005` — an I/O effect inside (or called into) a crate the
@@ -44,8 +54,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::callgraph::CallGraph;
 use crate::codes;
 use crate::findings::{Finding, Severity};
-use crate::hotpath::loop_bodies;
-use crate::items::{code_indices, in_ranges};
+use crate::items::{
+    call_opens, code_indices, double_colon_at, ident_in, ident_is, in_ranges, is_punct, loop_bodies,
+};
 use crate::lexer::{Token, TokenKind};
 use crate::model::{CrateData, EffectRow, EffectsReport};
 
@@ -85,9 +96,14 @@ const CONSTRUCTORS: &[&str] = &["from", "new", "with_capacity"];
 /// What kind of lexical effect source a token matched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceKind {
-    /// Container construction, `vec!`/`format!`, `.collect()`,
-    /// `.to_vec()`, `.clone()`, `.to_owned()`, `.to_string()`.
-    Alloc,
+    /// Container construction: `Vec::new`, `Box::new`, `vec!`, ….
+    AllocNew,
+    /// Iterator materialization: `.collect()`, `.to_vec()`.
+    AllocCollect,
+    /// Duplication: `.clone()`, `.to_owned()`, `.to_string()`.
+    AllocClone,
+    /// `format!`.
+    AllocFormat,
     /// `.lock()` / `.try_lock()` acquisition.
     Lock,
     /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
@@ -104,14 +120,22 @@ pub enum SourceKind {
     ThreadId,
     /// An `unsafe` token.
     Unsafe,
+    /// `.unwrap()` / `.expect()`: a panic site that sets no bit.
+    Unwrap,
+    /// Slice indexing `expr[…]`: a panic site that sets no bit.
+    Index,
 }
 
 impl SourceKind {
-    /// The lattice bit this source sets.
+    /// The lattice bit this source sets (`0` for the worker-path panic
+    /// sites, which the lattice does not track).
     #[must_use]
     pub fn bit(self) -> u32 {
         match self {
-            SourceKind::Alloc => ALLOCATES,
+            SourceKind::AllocNew
+            | SourceKind::AllocCollect
+            | SourceKind::AllocClone
+            | SourceKind::AllocFormat => ALLOCATES,
             SourceKind::Lock => LOCKS,
             SourceKind::PanicMacro => PANICS,
             SourceKind::Io => DOES_IO,
@@ -120,6 +144,7 @@ impl SourceKind {
             | SourceKind::EnvRead
             | SourceKind::ThreadId => NONDET,
             SourceKind::Unsafe => UNSAFE,
+            SourceKind::Unwrap | SourceKind::Index => 0,
         }
     }
 }
@@ -129,6 +154,8 @@ impl SourceKind {
 pub struct EffectSource {
     /// What matched.
     pub kind: SourceKind,
+    /// Byte offset of the anchor token in its file.
+    pub pos: usize,
     /// 1-based line of the anchor token.
     pub line: u32,
     /// 1-based column of the anchor token.
@@ -151,18 +178,6 @@ pub struct Effects {
     pub via: Vec<[i32; 6]>,
     /// The local sources per node, in body order.
     pub sources: Vec<Vec<EffectSource>>,
-}
-
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
-}
-
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
-    tok.kind == TokenKind::Ident && tok.text(src) == word
-}
-
-fn ident_in(tok: &Token, src: &str, words: &[&str]) -> bool {
-    tok.kind == TokenKind::Ident && words.contains(&tok.text(src))
 }
 
 /// Computes the effect lattice: scans every node body for local
@@ -263,7 +278,9 @@ fn scan_file(
 
     for (k, &idx) in code.iter().enumerate() {
         let t = &tokens[idx];
-        if t.kind != TokenKind::Ident
+        // The kind test comes first: owner lookups are the scan's cost.
+        let indexing = is_punct(t, src, '[') && k >= 1 && indexes(src, &tokens[code[k - 1]]);
+        if !(t.kind == TokenKind::Ident || indexing)
             || in_ranges(t.start, &f.test_ranges)
             || in_ranges(t.start, &f.macro_ranges)
         {
@@ -272,24 +289,35 @@ fn scan_file(
         let Some(owner) = graph.owner(ci, fi, t.start) else {
             continue;
         };
-        let word = t.text(src);
         let push =
             |sources: &mut [Vec<EffectSource>], kind: SourceKind, at: &Token, what: String| {
                 sources[owner].push(EffectSource {
                     kind,
+                    pos: at.start,
                     line: at.line,
                     col: at.col,
                     col_end: at.col + u32::try_from(at.end - at.start).unwrap_or(0),
                     what,
                 });
             };
-        let next_bang = code
-            .get(k + 1)
-            .is_some_and(|&m| is_punct(&tokens[m], src, '!'));
-        if next_bang {
+        if indexing {
+            push(sources, SourceKind::Index, t, "slice indexing".into());
+            continue;
+        }
+        let word = t.text(src);
+        let next_is = |c: char| {
+            code.get(k + 1)
+                .is_some_and(|&m| is_punct(&tokens[m], src, c))
+        };
+        if next_is('!') {
             match word {
-                "vec" => push(sources, SourceKind::Alloc, t, "`vec!` construction".into()),
-                "format" => push(sources, SourceKind::Alloc, t, "`format!`".into()),
+                "vec" => push(
+                    sources,
+                    SourceKind::AllocNew,
+                    t,
+                    "`vec!` construction".into(),
+                ),
+                "format" => push(sources, SourceKind::AllocFormat, t, "`format!`".into()),
                 "panic" | "unreachable" | "todo" | "unimplemented" => {
                     push(sources, SourceKind::PanicMacro, t, format!("`{word}!`"));
                 }
@@ -305,14 +333,16 @@ fn scan_file(
             continue;
         }
         // Path-shaped sources: `Qual::assoc(…)`.
-        if double_colon_then(src, tokens, &code, k) {
-            let assoc_tok = &tokens[code[k + 3]];
-            let assoc = assoc_tok.text(src);
-            let opens = call_opens(src, tokens, &code, k + 4);
-            if opens {
+        if double_colon_at(src, tokens, &code, k + 1)
+            && code
+                .get(k + 3)
+                .is_some_and(|&m| tokens[m].kind == TokenKind::Ident)
+        {
+            let assoc = tokens[code[k + 3]].text(src);
+            if call_opens(src, tokens, &code, k + 4) {
                 let what = format!("`{word}::{assoc}`");
                 if CONTAINERS.contains(&word) && CONSTRUCTORS.contains(&assoc) {
-                    push(sources, SourceKind::Alloc, t, what);
+                    push(sources, SourceKind::AllocNew, t, what);
                 } else if matches!(word, "Instant" | "SystemTime") && assoc == "now" {
                     push(sources, SourceKind::Clock, t, what);
                 } else if (word == "File" && matches!(assoc, "open" | "create"))
@@ -330,15 +360,14 @@ fn scan_file(
         let after_dot = k >= 1 && is_punct(&tokens[code[k - 1]], src, '.');
         let opens_call = call_opens(src, tokens, &code, k + 1);
         if after_dot && opens_call {
-            match word {
-                "collect" | "to_vec" | "clone" | "to_owned" | "to_string" => {
-                    push(sources, SourceKind::Alloc, t, format!("`.{word}()`"));
-                }
-                "lock" | "try_lock" => {
-                    push(sources, SourceKind::Lock, t, format!("`.{word}()`"));
-                }
-                _ => {}
-            }
+            let kind = match word {
+                "collect" | "to_vec" => SourceKind::AllocCollect,
+                "clone" | "to_owned" | "to_string" => SourceKind::AllocClone,
+                "lock" | "try_lock" => SourceKind::Lock,
+                "expect" | "unwrap" if next_is('(') => SourceKind::Unwrap,
+                _ => continue,
+            };
+            push(sources, kind, t, format!("`.{word}()`"));
             continue;
         }
         if !after_dot && opens_call && word == "available_parallelism" {
@@ -365,6 +394,13 @@ fn scan_file(
             }
         }
     }
+}
+
+/// `true` when a `[` after `prev` indexes: `prev` is an identifier (not
+/// a keyword that opens an array expression) or a closing `)`/`]`.
+fn indexes(src: &str, prev: &Token) -> bool {
+    (prev.kind == TokenKind::Ident || is_punct(prev, src, ')') || is_punct(prev, src, ']'))
+        && !ident_in(prev, src, &["else", "in", "match", "return"])
 }
 
 /// If the `let` at code index `k` binds a `HashMap`/`HashSet` —
@@ -436,56 +472,6 @@ fn for_iterates_hash<'a>(
         j += 1;
     }
     None
-}
-
-/// `true` when code index `k` is followed by `::` and an identifier.
-fn double_colon_then(src: &str, tokens: &[Token], code: &[usize], k: usize) -> bool {
-    let (Some(&a), Some(&b), Some(&c)) = (code.get(k + 1), code.get(k + 2), code.get(k + 3)) else {
-        return false;
-    };
-    is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
-        && tokens[c].kind == TokenKind::Ident
-}
-
-/// `true` when the code tokens at `at` open a call — `(` directly or a
-/// `::<…>` turbofish then `(`.
-fn call_opens(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
-    let Some(&k) = code.get(at) else { return false };
-    if is_punct(&tokens[k], src, '(') {
-        return true;
-    }
-    let (Some(&a), Some(&b), Some(&c)) = (code.get(at), code.get(at + 1), code.get(at + 2)) else {
-        return false;
-    };
-    if !(is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
-        && is_punct(&tokens[c], src, '<'))
-    {
-        return false;
-    }
-    let mut depth = 0i64;
-    let mut j = at + 2;
-    while j < code.len() {
-        let t = &tokens[code[j]];
-        if is_punct(t, src, '<') {
-            depth += 1;
-        } else if is_punct(t, src, '>') {
-            let arrow = j > 0 && is_punct(&tokens[code[j - 1]], src, '-');
-            if !arrow {
-                depth -= 1;
-                if depth == 0 {
-                    return code
-                        .get(j + 1)
-                        .is_some_and(|&m| is_punct(&tokens[m], src, '('));
-                }
-            }
-        }
-        j += 1;
-    }
-    false
 }
 
 /// Closes the local masks over the call edges: Tarjan emits SCCs in
@@ -641,6 +627,8 @@ pub fn check(
     pure_crates: &BTreeSet<String>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let mut loops = BTreeMap::new();
+    alloc_in_hot_loops(crates, graph, effects, &mut loops, &mut findings);
     nondet_on_report_paths(crates, graph, effects, &mut findings);
     alloc_in_peraccess_loops(
         crates,
@@ -648,11 +636,30 @@ pub fn check(
         effects,
         peraccess_seed_fns,
         engine_crates,
+        &mut loops,
         &mut findings,
     );
     worker_effects(crates, graph, effects, engine_crates, &mut findings);
     pure_crate_io(crates, graph, effects, pure_crates, &mut findings);
     findings
+}
+
+/// Loop-body ranges per node, filled on first use and shared by the
+/// loop-scoped rules (`XT0801`–`XT0804`, `XT1002`).
+type LoopCache = BTreeMap<usize, Vec<(usize, usize)>>;
+
+/// The loop bodies inside node `u`'s body, from `cache` when present.
+fn loops_of<'c>(
+    cache: &'c mut LoopCache,
+    crates: &[CrateData],
+    graph: &CallGraph,
+    u: usize,
+) -> &'c [(usize, usize)] {
+    cache.entry(u).or_insert_with(|| {
+        let node = &graph.nodes[u];
+        let f = &crates[node.crate_idx].files[node.file_idx];
+        loop_bodies(&f.src, &f.tokens, node.body.0, node.body.1)
+    })
 }
 
 /// Source-anchored finding constructor shared by the rules here.
@@ -665,6 +672,45 @@ fn at(code: &'static str, file: &str, s: &EffectSource, message: String) -> Find
         col_start: s.col,
         col_end: s.col_end,
         message,
+    }
+}
+
+/// `XT0801`–`XT0804`: allocation sources inside a loop of a function
+/// reachable from a hot-path seed, one code per allocation shape.
+/// Amortized growth (`push`, `extend`) is not a source, so it is never
+/// flagged.
+fn alloc_in_hot_loops(
+    crates: &[CrateData],
+    graph: &CallGraph,
+    effects: &Effects,
+    loops: &mut LoopCache,
+    findings: &mut Vec<Finding>,
+) {
+    let reached = graph.reachable(&graph.seeds_hotpath);
+    for (ni, node) in graph.nodes.iter().enumerate() {
+        let Some(seed) = reached[ni] else { continue };
+        let file = &crates[node.crate_idx].files[node.file_idx].rel;
+        for s in &effects.sources[ni] {
+            let code = match s.kind {
+                SourceKind::AllocNew => codes::HOT_ALLOC,
+                SourceKind::AllocCollect => codes::HOT_COLLECT,
+                SourceKind::AllocClone => codes::HOT_CLONE,
+                SourceKind::AllocFormat => codes::HOT_FORMAT,
+                _ => continue,
+            };
+            if !in_ranges(s.pos, loops_of(loops, crates, graph, ni)) {
+                continue;
+            }
+            findings.push(at(
+                code,
+                file,
+                s,
+                format!(
+                    "{} in a loop of `{}`, reachable from hot-path seed `{}`",
+                    s.what, node.name, graph.nodes[seed].name
+                ),
+            ));
+        }
     }
 }
 
@@ -700,18 +746,19 @@ fn nondet_on_report_paths(
 }
 
 /// `XT1002`: a call site inside a loop of a function reachable from a
-/// per-access seed whose callee's inferred mask allocates. The direct
-/// lexical shapes are `XT0801`–`XT0804`; this rule is the
+/// per-access seed whose callee's inferred mask allocates. The local
+/// allocation sources are `XT0801`–`XT0804`; this rule is the
 /// interprocedural closure over them. Sites whose caller or callee
 /// lives in an engine crate are excluded: the engine's job-marshaling
 /// buffers are the sanctioned allocation surface of the parallel path,
-/// audited separately by the `XT09xx` pass.
+/// audited separately by the `XT0901`–`XT0903` engine-file rules.
 fn alloc_in_peraccess_loops(
     crates: &[CrateData],
     graph: &CallGraph,
     effects: &Effects,
     peraccess_seed_fns: &BTreeSet<String>,
     engine_crates: &BTreeSet<String>,
+    loops: &mut LoopCache,
     findings: &mut Vec<Finding>,
 ) {
     let seeds: BTreeSet<usize> = graph
@@ -722,7 +769,6 @@ fn alloc_in_peraccess_loops(
         .map(|(i, _)| i)
         .collect();
     let reached = graph.reachable(&seeds);
-    let mut loops_of: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
     for &(u, v, pos, line, col) in &graph.site_edges {
         let Some(seed) = reached[u] else { continue };
@@ -734,14 +780,11 @@ fn alloc_in_peraccess_loops(
         {
             continue;
         }
-        let node = &graph.nodes[u];
-        let f = &crates[node.crate_idx].files[node.file_idx];
-        let loops = loops_of
-            .entry(u)
-            .or_insert_with(|| loop_bodies(&f.src, &f.tokens, node.body.0, node.body.1));
-        if !in_ranges(pos, loops) || !seen.insert((u, pos)) {
+        if !in_ranges(pos, loops_of(loops, crates, graph, u)) || !seen.insert((u, pos)) {
             continue;
         }
+        let node = &graph.nodes[u];
+        let f = &crates[node.crate_idx].files[node.file_idx];
         let callee = &graph.nodes[v];
         let path = effects.witness_path(v, ALLOCATES);
         let names: Vec<&str> = path.iter().map(|&i| graph.nodes[i].name.as_str()).collect();
@@ -764,10 +807,15 @@ fn alloc_in_peraccess_loops(
     }
 }
 
-/// `XT1003`/`XT1004`: panic-macro and lock sources in functions
-/// reachable from a worker seed, outside the engine crates — the
-/// engine's own panic-propagation boundary and queue locks are its
-/// documented contract, audited by the `XT09xx` pass.
+/// Consequence clause shared by the two worker panic-site codes.
+const PANICKING_WORKER: &str = "a panicking worker breaks the engine contract";
+
+/// `XT0904`/`XT0905` and `XT1003`/`XT1004`: panic and lock sources in
+/// functions reachable from a worker seed. `unwrap`/`expect` and
+/// indexing are flagged workspace-wide; panic macros and locks are
+/// flagged outside the engine crates only — the engine's own
+/// panic-propagation boundary and queue locks are its documented
+/// contract, audited by the `XT090x` engine-file rules.
 fn worker_effects(
     crates: &[CrateData],
     graph: &CallGraph,
@@ -780,33 +828,41 @@ fn worker_effects(
         let Some(seed) = reached[ni] else { continue };
         let crate_name = &crates[node.crate_idx].dir_name;
         let file = &crates[node.crate_idx].files[node.file_idx].rel;
-        if engine_crates.contains(crate_name) {
-            continue;
-        }
+        let in_engine = engine_crates.contains(crate_name);
+        let seed_name = &graph.nodes[seed].name;
         for s in &effects.sources[ni] {
-            match s.kind {
-                SourceKind::PanicMacro => findings.push(at(
-                    codes::WORKER_PANIC_EFFECT,
-                    file,
-                    s,
-                    format!(
-                        "{} in `{}`, reachable from worker seed `{}`: a panicking worker \
-                         breaks the engine contract",
-                        s.what, node.name, graph.nodes[seed].name
-                    ),
-                )),
-                SourceKind::Lock => findings.push(at(
+            let (code, names_crate, consequence) = match s.kind {
+                SourceKind::Unwrap => (codes::WORKER_PANIC_CALL, false, PANICKING_WORKER),
+                SourceKind::Index => (
+                    codes::WORKER_INDEXING,
+                    false,
+                    "an out-of-bounds panic propagates into the engine",
+                ),
+                SourceKind::PanicMacro if !in_engine => {
+                    (codes::WORKER_PANIC_EFFECT, false, PANICKING_WORKER)
+                }
+                SourceKind::Lock if !in_engine => (
                     codes::WORKER_LOCK_EFFECT,
-                    file,
-                    s,
-                    format!(
-                        "{} in `{}` (crate `{crate_name}`), reachable from worker seed \
-                         `{}`: locks outside the engine risk deadlock under the pool",
-                        s.what, node.name, graph.nodes[seed].name
-                    ),
-                )),
-                _ => {}
-            }
+                    true,
+                    "locks outside the engine risk deadlock under the pool",
+                ),
+                _ => continue,
+            };
+            let crate_note = if names_crate {
+                format!(" (crate `{crate_name}`)")
+            } else {
+                String::new()
+            };
+            findings.push(at(
+                code,
+                file,
+                s,
+                format!(
+                    "{} in `{}`{crate_note}, reachable from worker seed `{seed_name}`: \
+                     {consequence}",
+                    s.what, node.name
+                ),
+            ));
         }
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! No grammar, no AST: the passes only need a few shapes — where
 //! `#[cfg(test)]` items begin and end, where `macro_rules!` bodies
-//! live, which paths a `use` declaration imports, and which `a::b`
-//! chains occur in code. All of them fall out of brace/bracket matching
-//! over the non-trivia token sequence.
+//! live, which paths a `use` declaration imports, which `a::b`
+//! chains occur in code, and where loop bodies sit. All of them fall
+//! out of brace/bracket matching over the non-trivia token sequence.
+//! The token predicates every pass matches with (`is_punct`,
+//! `ident_is`, `ident_in`, `double_colon_at`, `call_opens`) live here
+//! once.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -25,12 +28,136 @@ pub fn in_ranges(pos: usize, ranges: &[(usize, usize)]) -> bool {
     ranges.iter().any(|&(s, e)| pos >= s && pos < e)
 }
 
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src) == c.to_string().as_str()
+/// `true` when `tok` is the single-character punct `c`.
+pub(crate) fn is_punct(tok: &Token, src: &str, c: char) -> bool {
+    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
 }
 
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
+/// `true` when `tok` is the identifier `word`.
+pub(crate) fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
     tok.kind == TokenKind::Ident && tok.text(src) == word
+}
+
+/// `true` when `tok` is an identifier in `words`.
+pub(crate) fn ident_in(tok: &Token, src: &str, words: &[&str]) -> bool {
+    tok.kind == TokenKind::Ident && words.contains(&tok.text(src))
+}
+
+/// `true` when code indices `at` and `at + 1` are two adjacent `:`
+/// puncts forming `::`.
+pub(crate) fn double_colon_at(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
+    let (Some(&a), Some(&b)) = (code.get(at), code.get(at + 1)) else {
+        return false;
+    };
+    is_punct(&tokens[a], src, ':')
+        && is_punct(&tokens[b], src, ':')
+        && tokens[a].end == tokens[b].start
+}
+
+/// `true` when the code tokens at `at` open a call — `(` directly or a
+/// `::<…>` turbofish then `(`.
+pub(crate) fn call_opens(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
+    let Some(&k) = code.get(at) else { return false };
+    if is_punct(&tokens[k], src, '(') {
+        return true;
+    }
+    if !(double_colon_at(src, tokens, code, at)
+        && code
+            .get(at + 2)
+            .is_some_and(|&m| is_punct(&tokens[m], src, '<')))
+    {
+        return false;
+    }
+    let mut depth = 0i64;
+    let mut j = at + 2;
+    while j < code.len() {
+        let t = &tokens[code[j]];
+        if is_punct(t, src, '<') {
+            depth += 1;
+        } else if is_punct(t, src, '>') {
+            let arrow = j > 0 && is_punct(&tokens[code[j - 1]], src, '-');
+            if !arrow {
+                depth -= 1;
+                if depth == 0 {
+                    return code
+                        .get(j + 1)
+                        .is_some_and(|&m| is_punct(&tokens[m], src, '('));
+                }
+            }
+        }
+        j += 1;
+    }
+    false
+}
+
+/// Byte ranges of `for`/`while`/`loop` bodies within `(start, end)`.
+/// Nested loop bodies produce overlapping ranges; membership is what
+/// matters, so overlap is harmless.
+#[must_use]
+pub(crate) fn loop_bodies(
+    src: &str,
+    tokens: &[Token],
+    start: usize,
+    end: usize,
+) -> Vec<(usize, usize)> {
+    let code: Vec<usize> = code_indices(tokens)
+        .into_iter()
+        .filter(|&i| tokens[i].start >= start && tokens[i].start < end)
+        .collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        let t = &tokens[code[i]];
+        if !ident_in(t, src, &["for", "loop", "while"]) {
+            i += 1;
+            continue;
+        }
+        // The body is the next `{` at paren/bracket depth 0 (closure
+        // braces inside iterator arguments sit behind a paren).
+        let mut depth = 0i64;
+        let mut j = i + 1;
+        let mut open = None;
+        while j < code.len() {
+            let n = &tokens[code[j]];
+            if is_punct(n, src, '(') || is_punct(n, src, '[') {
+                depth += 1;
+            } else if is_punct(n, src, ')') || is_punct(n, src, ']') {
+                depth -= 1;
+            } else if depth == 0 {
+                if is_punct(n, src, '{') {
+                    open = Some(j);
+                    break;
+                }
+                if is_punct(n, src, ';') {
+                    break; // `for` in a doc example gone wrong; bail
+                }
+            }
+            j += 1;
+        }
+        let Some(open) = open else {
+            i = j.max(i + 1);
+            continue;
+        };
+        let mut brace = 0i64;
+        let mut k = open;
+        let mut body_end = end;
+        while k < code.len() {
+            let n = &tokens[code[k]];
+            if is_punct(n, src, '{') {
+                brace += 1;
+            } else if is_punct(n, src, '}') {
+                brace -= 1;
+                if brace == 0 {
+                    body_end = n.end;
+                    break;
+                }
+            }
+            k += 1;
+        }
+        out.push((tokens[code[open]].start, body_end));
+        i = open + 1; // descend: nested loops get their own ranges
+    }
+    out
 }
 
 /// Byte ranges covered by `#[cfg(test)]`-gated items (the attribute
@@ -323,17 +450,6 @@ pub fn path_refs(src: &str, tokens: &[Token], skip: &[(usize, usize)]) -> Vec<Pa
         });
     }
     out
-}
-
-/// `true` when code indices `at` and `at + 1` are two adjacent `:`
-/// puncts forming `::`.
-fn double_colon_at(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
-    let (Some(&a), Some(&b)) = (code.get(at), code.get(at + 1)) else {
-        return false;
-    };
-    is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
 }
 
 #[cfg(test)]

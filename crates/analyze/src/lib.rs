@@ -5,7 +5,8 @@
 //! program analysis. A zero-dependency lossless [`lexer`] turns each
 //! source file into a spanned token stream; [`items`] extracts the
 //! structural facts the passes share (`#[cfg(test)]` regions,
-//! `macro_rules!` bodies, `use` trees, path chains); and four passes
+//! `macro_rules!` bodies, `use` trees, path chains, loop bodies, and
+//! the token predicates every pass matches with); and seven passes
 //! produce findings with stable `XT` codes from [`codes`]:
 //!
 //! 1. [`source_rules`] — the call-site, crate-header, and doc rules
@@ -19,18 +20,20 @@
 //! 4. [`telemetry_names`] — `span!`/`counter!`/`gauge!`/`observe!`
 //!    string literals diffed against the `names.rs` registry
 //!    (`XT0601`–`XT0604`);
-//! 5. [`callgraph`] — a workspace-wide symbol table and
+//! 5. [`concurrency`] — the engine-file audit: `unsafe` without a
+//!    `SAFETY:` comment, nested lock guards, `Ordering::Relaxed`
+//!    (`XT0901`–`XT0903`);
+//! 6. [`callgraph`] — a workspace-wide symbol table and
 //!    intra-workspace call graph with seeded reachability, feeding
-//! 6. [`hotpath`] — the hot-path allocation lint over loops of
-//!    functions reachable from the simulate/reorder/replay seeds
-//!    (`XT0801`–`XT0804`), and
-//! 7. [`concurrency`] — the concurrency-safety audit of the engine
-//!    crates plus worker-reachability rules (`XT0901`–`XT0905`), and
-//! 8. [`effects`] — interprocedural effect inference: a fixed-point
-//!    bottom-up effect lattice (allocates/locks/panics/does_io/
-//!    nondeterministic/unsafe) over the call-graph SCC condensation
-//!    with shortest-witness provenance, driving the inferred-effect
-//!    rules (`XT1001`–`XT1005`).
+//! 7. [`effects`] — interprocedural effect inference: one token scan
+//!    per file records every effect source, a fixed-point bottom-up
+//!    effect lattice (allocates/locks/panics/does_io/
+//!    nondeterministic/unsafe) closes them over the call-graph SCC
+//!    condensation with shortest-witness provenance, and every
+//!    call-graph rule is a filter over the sources or masks: hot-path
+//!    allocation in loops (`XT0801`–`XT0804`), worker-path
+//!    `unwrap`/`expect` and indexing (`XT0904`/`XT0905`), and the
+//!    inferred-effect rules (`XT1001`–`XT1005`).
 //!
 //! Audited exceptions live in an allowlist file (one justified
 //! `(code, file)` pair per line); allowlist hygiene is itself checked
@@ -48,7 +51,6 @@ pub mod concurrency;
 pub mod determinism;
 pub mod effects;
 pub mod findings;
-pub mod hotpath;
 pub mod items;
 pub mod layering;
 pub mod lexer;

@@ -16,7 +16,6 @@ use crate::concurrency;
 use crate::determinism;
 use crate::effects;
 use crate::findings::{AnalysisReport, Finding, Severity};
-use crate::hotpath;
 use crate::items;
 use crate::layering;
 use crate::lexer;
@@ -189,11 +188,10 @@ pub fn analyze_workspace(root: &Path, config: &AnalyzerConfig) -> Result<Analysi
     findings.extend(determinism::check(&crates, &reach_edges));
     findings.extend(telemetry_names::check(&crates, &config.registry_rel));
 
-    // Semantic layer: call graph, hot-path allocations, concurrency,
-    // and the interprocedural effect lattice.
+    // Semantic layer: the engine-file concurrency audit, then the call
+    // graph and the effect lattice every call-graph rule filters.
+    findings.extend(concurrency::check(&crates, &config.engine_crates));
     let graph = callgraph::build(&crates, &config.hot_seed_fns, &config.worker_seed_fns);
-    findings.extend(hotpath::check(&crates, &graph));
-    findings.extend(concurrency::check(&crates, &graph, &config.engine_crates));
     let fx = effects::compute(&crates, &graph);
     findings.extend(effects::check(
         &crates,

@@ -257,7 +257,7 @@ fn every_fixture_report_holds_every_invariant() {
 }
 
 /// One corruption per invariant family, applied to the `effects`
-/// fixture's report (edges `0→1`, `1→2`, `4→5`; node 0 inherits
+/// fixture's report (edges `0→1`, `1→2`, `2→7`, `4→5`; node 0 inherits
 /// `locks|panics` from 1, which inherits `panics` from 2).
 #[test]
 fn seeded_corruptions_are_caught() {

@@ -12,10 +12,12 @@
 //! Sources exist for every generator in the workspace:
 //!
 //! * [`KernelTrace`] — the SpMV/SpMM kernel traces of [`crate::trace`],
-//! * [`PagerankTrace`] / [`BfsTrace`] — the graph-analytics traces of
-//!   [`crate::graph_trace`],
-//! * [`EllTrace`] / [`SellTrace`] — the padded-format traces of
-//!   [`crate::format_trace`],
+//! * [`PagerankTrace`](crate::graph_trace::PagerankTrace) /
+//!   [`BfsTrace`](crate::graph_trace::BfsTrace) — the graph-analytics
+//!   traces of [`crate::graph_trace`],
+//! * [`EllTrace`](crate::format_trace::EllTrace) /
+//!   [`SellTrace`](crate::format_trace::SellTrace) — the padded-format
+//!   traces of [`crate::format_trace`],
 //! * `[Access]` and `Vec<Access>` — in-memory slices for tests.
 //!
 //! The provided [`TraceSource::collect_trace`] materializer is a test

@@ -34,5 +34,5 @@ fn fail_fast(j: u32) -> u32 {
     if j == u32::MAX {
         unreachable!("saturated job id");
     }
-    j
+    crate::worker::checked_slot(j)
 }
