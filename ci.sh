@@ -141,6 +141,22 @@ echo "== streamed-generation tripwire (mega tier, ulimit -v 256 MiB)"
   MALLOC_ARENA_MAX=2 ./target/release/commorder-cli corpus stats mega-soc-rmat-1m
 )
 
+echo "== hostile Matrix Market header (ulimit -v 1 GiB)"
+# fixtures/hostile_header.mtx declares a 4294967295 x 4294967295 matrix
+# with one entry: its row offsets alone would take 16 GiB. The CSR
+# assembler reserves that buffer fallibly, so analyze must fail with
+# the CLI's error exit (1), never abort on allocation failure (SIGABRT,
+# exit 134).
+status=0
+(
+  ulimit -v 1048576
+  ./target/release/commorder-cli analyze fixtures/hostile_header.mtx
+) || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "hostile header: expected exit 1, got $status" >&2
+  exit 1
+fi
+
 echo "== streaming-memory tripwire (ulimit -v 256 MiB)"
 # Regression tripwire for reintroduced full-trace materialization: the
 # largest synth corpus matrix (soc-rmat-xl, ~6.2M accesses per SpMV

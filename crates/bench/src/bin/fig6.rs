@@ -31,7 +31,6 @@ fn main() {
     let insular_only = RabbitPlusPlus::with_config(RabbitPlusPlusConfig {
         group_insular: true,
         hub_policy: HubPolicy::None,
-        rabbit: Rabbit::new(),
     });
     let rows: Vec<(f64, f64, f64)> = harness.engine().map(&cases, |_, case| {
         eprintln!("[fig6] {}", case.entry.name);

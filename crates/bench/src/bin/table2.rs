@@ -2,8 +2,8 @@
 //! (normalized to ideal) for {RABBIT, RABBIT+HUBSORT, RABBIT+HUBGROUP} ×
 //! {without, with} insular-node grouping, split by insularity.
 
+use commorder::analysis;
 use commorder::prelude::*;
-use commorder::reorder::quality;
 use commorder_bench::Harness;
 
 fn main() {
@@ -22,10 +22,7 @@ fn main() {
     // Per-matrix insularity (bucket key), computed once.
     let insularities: Vec<f64> = engine.map(&spec.matrices, |_, named| {
         eprintln!("[table2] insularity {}", named.name);
-        let r = Rabbit::new()
-            .run(&named.matrix)
-            .expect("square corpus matrix");
-        quality::insularity(&named.matrix, &r.assignment).expect("validated")
+        analysis::rabbit_insularity(&named.matrix).expect("square corpus matrix")
     });
 
     let result = spec.run(&engine).expect("valid corpus grid");

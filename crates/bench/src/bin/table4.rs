@@ -2,8 +2,8 @@
 //! per-kernel ideal) for SpMV-COO, SpMM-CSR-4 and SpMM-CSR-256 under
 //! RANDOM / ORIGINAL / RABBIT / RABBIT++, split by insularity.
 
+use commorder::analysis;
 use commorder::prelude::*;
-use commorder::reorder::quality;
 use commorder_bench::Harness;
 
 fn main() {
@@ -29,10 +29,7 @@ fn main() {
     // Insularity per matrix (bucket key), computed once.
     let insularities: Vec<f64> = engine.map(&spec.matrices, |_, named| {
         eprintln!("[table4] insularity {}", named.name);
-        let r = Rabbit::new()
-            .run(&named.matrix)
-            .expect("square corpus matrix");
-        quality::insularity(&named.matrix, &r.assignment).expect("validated")
+        analysis::rabbit_insularity(&named.matrix).expect("square corpus matrix")
     });
 
     let result = spec.run(&engine).expect("valid corpus grid");

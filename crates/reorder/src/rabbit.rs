@@ -106,18 +106,13 @@ impl Reordering for Rabbit {
 pub struct FlatCommunity {
     /// Shuffle seed (deterministic).
     pub seed: u64,
-    /// Underlying RABBIT configuration.
-    pub rabbit: Rabbit,
 }
 
 impl FlatCommunity {
     /// RABBIT-FLAT with default detection and a fixed seed.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        FlatCommunity {
-            seed,
-            rabbit: Rabbit::new(),
-        }
+        FlatCommunity { seed }
     }
 }
 
@@ -158,7 +153,7 @@ impl Reordering for FlatCommunity {
     }
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
-        self.shuffled_order(&self.rabbit.run(a)?)
+        self.shuffled_order(&Rabbit::new().run(a)?)
     }
 
     fn reorder_with(
@@ -166,7 +161,7 @@ impl Reordering for FlatCommunity {
         a: &CsrMatrix,
         cx: &ReorderContext<'_>,
     ) -> Result<Permutation, SparseError> {
-        self.shuffled_order(&self.rabbit.run_with(a, cx.engine())?)
+        self.shuffled_order(&Rabbit::new().run_with(a, cx.engine())?)
     }
 }
 

@@ -60,8 +60,6 @@ pub struct RabbitPlusPlusConfig {
     pub group_insular: bool,
     /// Hub layout (second modification).
     pub hub_policy: HubPolicy,
-    /// Underlying RABBIT configuration.
-    pub rabbit: Rabbit,
 }
 
 impl Default for RabbitPlusPlusConfig {
@@ -70,7 +68,6 @@ impl Default for RabbitPlusPlusConfig {
         RabbitPlusPlusConfig {
             group_insular: true,
             hub_policy: HubPolicy::Group,
-            rabbit: Rabbit::new(),
         }
     }
 }
@@ -96,7 +93,6 @@ impl RabbitPlusPlusConfig {
                 v.push(RabbitPlusPlusConfig {
                     group_insular,
                     hub_policy,
-                    rabbit: Rabbit::new(),
                 });
             }
         }
@@ -162,7 +158,7 @@ impl RabbitPlusPlus {
         engine: &Engine,
     ) -> Result<RabbitPlusPlusResult, SparseError> {
         let _span = obs::span!("reorder.rabbitpp");
-        let rabbit = self.config.rabbit.run_with(a, engine)?;
+        let rabbit = Rabbit::new().run_with(a, engine)?;
         let insular = {
             let _insular_span = obs::span!("rabbitpp.insular");
             quality::insular_nodes_with(a, &rabbit.assignment, engine)?
@@ -301,7 +297,6 @@ mod tests {
         let cfg = RabbitPlusPlusConfig {
             group_insular: true,
             hub_policy: HubPolicy::None,
-            rabbit: Rabbit::new(),
         };
         let r = RabbitPlusPlus::with_config(cfg).run(&g).unwrap();
         let inv = r.permutation.inverse();
@@ -323,7 +318,6 @@ mod tests {
         let cfg = RabbitPlusPlusConfig {
             group_insular: false,
             hub_policy: HubPolicy::Sort,
-            rabbit: Rabbit::new(),
         };
         let r = RabbitPlusPlus::with_config(cfg).run(&g).unwrap();
         let inv = r.permutation.inverse();
@@ -343,7 +337,6 @@ mod tests {
         let cfg = RabbitPlusPlusConfig {
             group_insular: false,
             hub_policy: HubPolicy::None,
-            rabbit: Rabbit::new(),
         };
         let plain = RabbitPlusPlus::with_config(cfg).run(&g).unwrap();
         assert_eq!(plain.permutation, plain.rabbit.permutation);

@@ -1,3 +1,4 @@
+use crate::assemble::assemble;
 use crate::{CooMatrix, Permutation, SparseError};
 
 /// A sparse matrix in Compressed Sparse Row format.
@@ -129,6 +130,35 @@ impl CsrMatrix {
             col_indices: Vec::new(),
             values: Vec::new(),
         }
+    }
+
+    /// The symmetric pattern matrix of an undirected graph on `n`
+    /// vertices: each edge `{u, v}` is stored in both triangles with value
+    /// 1.0, self-loops are dropped and duplicate edges collapse. `replay`
+    /// is called twice and must visit the same edges both times, so a
+    /// generator can re-derive its edges instead of storing them.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::IndexOutOfBounds`] if a non-loop edge has an
+    /// endpoint `>= n`; [`SparseError::TooLarge`] if the mirrored entries
+    /// exceed `u32` offsets or cannot be allocated.
+    pub fn from_undirected_edges(
+        n: u32,
+        replay: impl Fn(&mut dyn FnMut(u32, u32)),
+    ) -> Result<Self, SparseError> {
+        let undirected = |emit: &mut dyn FnMut(u32, u32, ())| {
+            replay(&mut |u, v| {
+                if u != v {
+                    emit(u, v, ());
+                    emit(v, u, ());
+                }
+            });
+        };
+        let (row_offsets, entries) = assemble(n, n, undirected, |(), ()| {})?;
+        let col_indices: Vec<u32> = entries.into_iter().map(|(c, ())| c).collect();
+        let values = vec![1.0; col_indices.len()];
+        CsrMatrix::new(n, n, row_offsets, col_indices, values)
     }
 
     /// Number of rows.
@@ -341,31 +371,28 @@ impl CsrMatrix {
 impl TryFrom<CooMatrix> for CsrMatrix {
     type Error = SparseError;
 
-    /// Converts from COO, sorting entries and **summing duplicates**.
+    /// Converts from COO, sorting each row by column and **summing
+    /// duplicates in input order**: the entries at one coordinate are
+    /// added left to right as they appear in the COO, so an `f32` sum
+    /// that depends on order (`1e8 + 1.0 - 1e8`) is reproducible.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::TooLarge`] when the row offsets or entry buffer
+    /// cannot be allocated (a hostile `u32::MAX`-row header returns this
+    /// instead of aborting).
     fn try_from(coo: CooMatrix) -> Result<Self, SparseError> {
         let (n_rows, n_cols) = (coo.n_rows(), coo.n_cols());
-        let mut entries = coo.into_entries();
-        entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut row_offsets = vec![0u32; n_rows as usize + 1];
-        let mut col_indices: Vec<u32> = Vec::with_capacity(entries.len());
-        let mut values: Vec<f32> = Vec::with_capacity(entries.len());
-        let mut last: Option<(u32, u32)> = None;
-        for (r, c, v) in entries {
-            if last == Some((r, c)) {
-                *values.last_mut().expect("entry exists when last is Some") += v;
-                continue;
+        let entries = coo.into_entries();
+        let replay = |emit: &mut dyn FnMut(u32, u32, f32)| {
+            for &(r, c, v) in &entries {
+                emit(r, c, v);
             }
-            col_indices.push(c);
-            values.push(v);
-            row_offsets[r as usize + 1] = col_indices.len() as u32;
-            last = Some((r, c));
-        }
-        // Fill offsets for rows we never touched (prefix-max).
-        for i in 1..row_offsets.len() {
-            if row_offsets[i] < row_offsets[i - 1] {
-                row_offsets[i] = row_offsets[i - 1];
-            }
-        }
+        };
+        let (row_offsets, merged) = assemble(n_rows, n_cols, replay, |sum, v| *sum += v)?;
+        // Free the triples before splitting the merged pairs into two arrays.
+        drop(entries);
+        let (col_indices, values) = merged.into_iter().unzip();
         CsrMatrix::new(n_rows, n_cols, row_offsets, col_indices, values)
     }
 }
@@ -535,6 +562,24 @@ mod tests {
         assert_eq!(csr.nnz(), 3);
         let triples: Vec<_> = csr.iter().collect();
         assert_eq!(triples, vec![(0, 0, 1.0), (0, 1, 2.0), (1, 0, 4.0)]);
+    }
+
+    #[test]
+    fn from_coo_sums_duplicates_in_input_order() {
+        // In f32, 1e8 + 1.0 rounds back to 1e8, so the sum at (0, 0)
+        // depends on the order its three entries are added in. Row 0 also
+        // holds columns 1..1000 shuffled: long enough that an unstable row
+        // sort would reorder the duplicates.
+        let sum_at_origin = |dups: [f32; 3]| {
+            let mut entries: Vec<_> = (1..1000).map(|c| (0, c * 37 % 1000, 2.0)).collect();
+            for (i, v) in dups.into_iter().enumerate() {
+                entries.insert(i * 333, (0, 0, v));
+            }
+            let coo = CooMatrix::from_entries(1, 1000, entries).unwrap();
+            CsrMatrix::try_from(coo).unwrap().values()[0]
+        };
+        assert_eq!(sum_at_origin([1e8, 1.0, -1e8]), 0.0);
+        assert_eq!(sum_at_origin([1e8, -1e8, 1.0]), 1.0);
     }
 
     #[test]

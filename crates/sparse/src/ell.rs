@@ -222,12 +222,7 @@ mod tests {
     #[test]
     fn skewed_matrix_pads_badly() {
         // Star: hub row of degree 99, leaves of degree 1.
-        let mut entries = Vec::new();
-        for v in 1..100u32 {
-            entries.push((0, v, 1.0));
-            entries.push((v, 0, 1.0));
-        }
-        let csr = CsrMatrix::try_from(crate::CooMatrix::from_entries(100, 100, entries).unwrap())
+        let csr = CsrMatrix::from_undirected_edges(100, |visit| (1..100).for_each(|v| visit(0, v)))
             .unwrap();
         let ell = EllMatrix::from_csr(&csr).unwrap();
         assert_eq!(ell.width(), 99);

@@ -104,13 +104,8 @@ mod tests {
     use crate::CooMatrix;
 
     fn ring(n: u32) -> CsrMatrix {
-        let entries: Vec<_> = (0..n)
-            .flat_map(|v| {
-                let w = (v + 1) % n;
-                [(v, w, 1.0), (w, v, 1.0)]
-            })
-            .collect();
-        CsrMatrix::try_from(CooMatrix::from_entries(n, n, entries).unwrap()).unwrap()
+        CsrMatrix::from_undirected_edges(n, |visit| (0..n).for_each(|v| visit(v, (v + 1) % n)))
+            .unwrap()
     }
 
     #[test]
@@ -127,12 +122,8 @@ mod tests {
     #[test]
     fn pagerank_ranks_hub_highest() {
         // Star: hub 0 receives from every leaf.
-        let mut entries = Vec::new();
-        for v in 1..10u32 {
-            entries.push((0, v, 1.0));
-            entries.push((v, 0, 1.0));
-        }
-        let g = CsrMatrix::try_from(CooMatrix::from_entries(10, 10, entries).unwrap()).unwrap();
+        let g = CsrMatrix::from_undirected_edges(10, |visit| (1..10).for_each(|v| visit(0, v)))
+            .unwrap();
         let pr = pagerank(&g, 0.85, 30).unwrap();
         for v in 1..10 {
             assert!(pr[0] > pr[v], "hub must outrank leaf {v}");

@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod assemble;
 mod coo;
 mod csc;
 mod csr;

@@ -218,16 +218,11 @@ impl SellMatrix {
 mod tests {
     use super::*;
     use crate::kernels::spmv_csr;
-    use crate::{CooMatrix, EllMatrix};
+    use crate::EllMatrix;
 
     fn skewed() -> CsrMatrix {
         // Hub row 0 (degree 15) + a tail of degree-1 rows.
-        let mut entries = Vec::new();
-        for v in 1..16u32 {
-            entries.push((0, v, 1.0));
-            entries.push((v, 0, 1.0));
-        }
-        CsrMatrix::try_from(CooMatrix::from_entries(16, 16, entries).unwrap()).unwrap()
+        CsrMatrix::from_undirected_edges(16, |visit| (1..16).for_each(|v| visit(0, v))).unwrap()
     }
 
     #[test]
@@ -285,10 +280,9 @@ mod tests {
     #[test]
     fn ragged_tail_slice_works() {
         // 10 rows with C = 4: last slice has 2 lanes.
-        let entries: Vec<_> = (0..9u32)
-            .flat_map(|v| [(v, v + 1, 1.0), (v + 1, v, 1.0)])
-            .collect();
-        let csr = CsrMatrix::try_from(CooMatrix::from_entries(10, 10, entries).unwrap()).unwrap();
+        let csr =
+            CsrMatrix::from_undirected_edges(10, |visit| (0..9).for_each(|v| visit(v, v + 1)))
+                .unwrap();
         let sell = SellMatrix::from_csr(&csr, 4, 8).unwrap();
         let x = vec![1.0f32; 10];
         assert_eq!(sell.spmv(&x).unwrap(), spmv_csr(&csr, &x).unwrap());

@@ -177,12 +177,7 @@ mod tests {
 
     fn star5() -> CsrMatrix {
         // Hub 0 connected to 1..4 (symmetric star).
-        let mut entries = Vec::new();
-        for v in 1..5u32 {
-            entries.push((0, v, 1.0));
-            entries.push((v, 0, 1.0));
-        }
-        CsrMatrix::try_from(crate::CooMatrix::from_entries(5, 5, entries).unwrap()).unwrap()
+        CsrMatrix::from_undirected_edges(5, |visit| (1..5).for_each(|v| visit(0, v))).unwrap()
     }
 
     #[test]
@@ -213,14 +208,9 @@ mod tests {
     fn skew_of_uniform_matrix_is_proportional() {
         // Ring: every row degree 2; top 10% of rows hold ~10% of nnz.
         let n = 100u32;
-        let entries: Vec<_> = (0..n)
-            .flat_map(|v| {
-                let next = (v + 1) % n;
-                [(v, next, 1.0), (next, v, 1.0)]
-            })
-            .collect();
         let a =
-            CsrMatrix::try_from(crate::CooMatrix::from_entries(n, n, entries).unwrap()).unwrap();
+            CsrMatrix::from_undirected_edges(n, |visit| (0..n).for_each(|v| visit(v, (v + 1) % n)))
+                .unwrap();
         let skew = skew_top10(&a);
         assert!((skew - 0.10).abs() < 0.01, "skew = {skew}");
     }

@@ -55,15 +55,11 @@ impl Banded {
                 } else {
                     (u + offset).min(self.n - 1)
                 };
-                if v != u {
-                    edges.push((u, v));
-                }
+                edges.push((u, v));
             }
             if self.long_range_p > 0.0 && rng.gen_bool(self.long_range_p) {
                 let v = rng.gen_u32(self.n);
-                if v != u {
-                    edges.push((u, v));
-                }
+                edges.push((u, v));
             }
         }
         if self.scramble_ids {

@@ -57,9 +57,7 @@ impl KmerChain {
             }
             if self.cross_p > 0.0 && rng.gen_bool(self.cross_p) {
                 let v = rng.gen_u32(self.n);
-                if v != u {
-                    edges.push((u, v));
-                }
+                edges.push((u, v));
             }
         }
         if self.scramble_ids {

@@ -53,9 +53,7 @@ impl HubAndSpoke {
         for _ in 0..background_edges {
             let u = rng.gen_u32(self.n);
             let v = rng.gen_u32(self.n);
-            if u != v {
-                edges.push((u, v));
-            }
+            edges.push((u, v));
         }
         undirected_csr(self.n, &edges)
     }

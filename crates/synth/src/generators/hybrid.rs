@@ -75,9 +75,7 @@ impl CommunityHub {
             let extra = (self.hub_degree * rng.power_law(2.0, 16) as f64).round() as usize;
             for _ in 0..extra {
                 let v = rng.gen_u32(self.n);
-                if v != h {
-                    edges.push((h, v));
-                }
+                edges.push((h, v));
             }
         }
         if self.scramble_ids {

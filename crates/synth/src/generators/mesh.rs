@@ -61,9 +61,7 @@ impl Grid2d {
                 }
                 if self.shortcut_p > 0.0 && rng.gen_bool(self.shortcut_p) {
                     let v = rng.gen_u32(n);
-                    if v != u {
-                        edges.push((u, v));
-                    }
+                    edges.push((u, v));
                 }
             }
         }

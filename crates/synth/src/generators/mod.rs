@@ -45,7 +45,7 @@ pub use rmat::Rmat;
 pub use sbm::PlantedPartition;
 pub use small_world::WattsStrogatz;
 
-use commorder_sparse::{CooMatrix, CsrMatrix, SparseError};
+use commorder_sparse::{CsrMatrix, SparseError};
 
 /// Builds a symmetric pattern CSR matrix from an undirected edge set:
 /// self-loops are dropped, duplicate edges collapse to a single entry with
@@ -55,25 +55,11 @@ use commorder_sparse::{CooMatrix, CsrMatrix, SparseError};
 ///
 /// Returns [`SparseError::IndexOutOfBounds`] if an endpoint is `>= n`.
 pub fn undirected_csr(n: u32, edges: &[(u32, u32)]) -> Result<CsrMatrix, SparseError> {
-    let mut entries = Vec::with_capacity(edges.len() * 2);
-    for &(u, v) in edges {
-        if u == v {
-            continue;
+    CsrMatrix::from_undirected_edges(n, |visit| {
+        for &(u, v) in edges {
+            visit(u, v);
         }
-        entries.push((u, v, 1.0));
-        entries.push((v, u, 1.0));
-    }
-    let coo = CooMatrix::from_entries(n, n, entries)?;
-    let csr = CsrMatrix::try_from(coo)?;
-    // Collapse summed duplicates back to pattern value 1.0.
-    let values = vec![1.0f32; csr.nnz()];
-    CsrMatrix::new(
-        csr.n_rows(),
-        csr.n_cols(),
-        csr.row_offsets().to_vec(),
-        csr.col_indices().to_vec(),
-        values,
-    )
+    })
 }
 
 #[cfg(test)]
@@ -97,6 +83,9 @@ mod tests {
 
     #[test]
     fn undirected_csr_rejects_out_of_range() {
-        assert!(undirected_csr(2, &[(0, 5)]).is_err());
+        assert!(matches!(
+            undirected_csr(2, &[(1, 1), (0, 5)]),
+            Err(SparseError::IndexOutOfBounds { index: 5, bound: 2 })
+        ));
     }
 }

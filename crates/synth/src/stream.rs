@@ -1,20 +1,11 @@
 //! Streamed CSR construction for the million-row corpus tier.
 //!
-//! The standard corpus builders materialize a `Vec<(u32, u32)>` edge
-//! list, expand it into a COO triple array, and convert that to CSR —
-//! three full copies of the edge set alive at once. At 131k rows that
-//! is noise; at the mega tier (1M–10M rows) it is hundreds of megabytes
-//! of transient garbage and the difference between fitting under the CI
-//! `ulimit -v` tripwire or not. This module applies the discipline PR 4
-//! imposed on the cache simulator to *generation*: the edge set is
-//! never stored, only replayed.
-//!
-//! [`stream_undirected_csr`] makes two passes over a replayable
-//! [`EdgeStream`] — pass one counts mirrored degrees, pass two fills a
-//! preallocated column array through per-row cursors — then sorts,
-//! dedups and compacts each row in place. Peak memory is the finished
-//! CSR plus one `u32` per row, independent of how many duplicate edges
-//! the generator emits.
+//! At the mega tier (1M–10M rows) a materialized `Vec<(u32, u32)>` edge
+//! list alone is hundreds of megabytes: the difference between fitting
+//! under the CI `ulimit -v` tripwire or not. An [`EdgeStream`] never
+//! stores its edges. It re-derives them from its seed on each of the two
+//! passes of [`CsrMatrix::from_undirected_edges`], so peak memory is the
+//! mirrored column array plus one `u32` per row.
 
 use commorder_sparse::{CsrMatrix, SparseError};
 
@@ -50,82 +41,9 @@ pub trait EdgeStream {
 /// endpoint `>= n_vertices`, and [`SparseError::TooLarge`] if the
 /// mirrored entry count would overflow `u32` offsets.
 pub fn stream_undirected_csr(stream: &dyn EdgeStream, seed: u64) -> Result<CsrMatrix, SparseError> {
-    let n = stream.n_vertices() as usize;
-
-    // Pass 1: mirrored degree counts.
-    let mut counts = vec![0u32; n];
-    let mut bad: Option<u32> = None;
-    stream.for_each_edge(seed, &mut |u, v| {
-        let (ui, vi) = (u as usize, v as usize);
-        if ui >= n || vi >= n {
-            bad.get_or_insert(u.max(v));
-            return;
-        }
-        if u != v {
-            counts[ui] += 1;
-            counts[vi] += 1;
-        }
-    });
-    if let Some(index) = bad {
-        return Err(SparseError::IndexOutOfBounds {
-            index,
-            bound: n as u32,
-        });
-    }
-    let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
-    if total > u64::from(u32::MAX - 1) {
-        return Err(SparseError::TooLarge(format!(
-            "streamed graph needs {total} mirrored entries; u32 offsets allow {}",
-            u32::MAX - 1
-        )));
-    }
-
-    // Exclusive prefix sum; `counts` becomes the per-row fill cursor.
-    let mut offsets = vec![0u32; n + 1];
-    let mut acc = 0u32;
-    for (row, c) in counts.iter_mut().enumerate() {
-        offsets[row] = acc;
-        acc += *c;
-        *c = offsets[row];
-    }
-    offsets[n] = acc;
-
-    // Pass 2: scatter endpoints through the cursors.
-    let mut cols = vec![0u32; acc as usize];
-    stream.for_each_edge(seed, &mut |u, v| {
-        if u != v {
-            let (ui, vi) = (u as usize, v as usize);
-            cols[counts[ui] as usize] = v;
-            counts[ui] += 1;
-            cols[counts[vi] as usize] = u;
-            counts[vi] += 1;
-        }
-    });
-
-    // Per-row sort + dedup, compacting in place. The write cursor never
-    // passes the read cursor: every prior row shrank or stayed put.
-    let mut write = 0usize;
-    for row in 0..n {
-        let (start, end) = (offsets[row] as usize, offsets[row + 1] as usize);
-        cols[start..end].sort_unstable();
-        offsets[row] = write as u32;
-        let mut prev = u32::MAX;
-        for read in start..end {
-            let c = cols[read];
-            if c != prev {
-                cols[write] = c;
-                write += 1;
-                prev = c;
-            }
-        }
-    }
-    offsets[n] = write as u32;
-    cols.truncate(write);
-    cols.shrink_to_fit();
-    drop(counts);
-
-    let values = vec![1.0f32; write];
-    CsrMatrix::new(n as u32, n as u32, offsets, cols, values)
+    CsrMatrix::from_undirected_edges(stream.n_vertices(), |visit| {
+        stream.for_each_edge(seed, visit);
+    })
 }
 
 /// Builds the seed-keyed relabel table shared by both passes: an
@@ -331,18 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_rmat_matches_materialized_shape() {
-        // The streamed builder must agree with the eager `undirected_csr`
-        // path when fed the identical edge sequence.
-        let cfg = StreamedRmat::graph500(9, 4.0);
-        let mut edges = Vec::new();
-        cfg.for_each_edge(3, &mut |u, v| edges.push((u, v)));
-        let eager = crate::generators::undirected_csr(cfg.n_vertices(), &edges).unwrap();
-        let streamed = stream_undirected_csr(&cfg, 3).unwrap();
-        assert_eq!(eager, streamed);
-    }
-
-    #[test]
     fn streamed_community_has_block_structure() {
         let cfg = StreamedCommunity {
             n: 2048,
@@ -387,22 +293,5 @@ mod tests {
         let (_, islands) = commorder_sparse::ops::connected_components(&g).unwrap();
         // 4 long chains of 256 plus 96 short chains of 32.
         assert_eq!(islands, 1024 / 256 + (4096 - 1024) / 32);
-    }
-
-    #[test]
-    fn rejects_out_of_bounds_endpoints() {
-        struct Bad;
-        impl EdgeStream for Bad {
-            fn n_vertices(&self) -> u32 {
-                4
-            }
-            fn for_each_edge(&self, _seed: u64, visit: &mut dyn FnMut(u32, u32)) {
-                visit(1, 9);
-            }
-        }
-        assert!(matches!(
-            stream_undirected_csr(&Bad, 0),
-            Err(SparseError::IndexOutOfBounds { index: 9, bound: 4 })
-        ));
     }
 }

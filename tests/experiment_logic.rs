@@ -36,7 +36,6 @@ fn fig6_logic_masked_insular_submatrix_is_near_compulsory() {
     let cfg = RabbitPlusPlusConfig {
         group_insular: true,
         hub_policy: HubPolicy::None,
-        rabbit: Rabbit::new(),
     };
     let result = RabbitPlusPlus::with_config(cfg).run(&m).expect("square");
     let masked = ops::mask_incident(&m, &result.insular).expect("validated");
