@@ -71,8 +71,9 @@ echo "== unified bench harness (xtask bench --quick) + CHK12xx validation"
 # BENCH_pipeline.json (trace-gen and LRU/PLRU/Belady simulated
 # accesses/s, SpGEMM throughput + accumulator peaks, suite wall time,
 # peak RSS) and BENCH_reorder.json
-# (engine-parallel RABBIT / RABBIT++ / BOBA throughput; the run fails
-# if the permutation fingerprint drifts across thread counts). --quick
+# (RABBIT / RABBIT++ / BOBA throughput per engine width; every
+# reorder phase is serial, so the widths should match, and the run
+# fails if the permutation fingerprint drifts across widths). --quick
 # shrinks the inputs to CI scale; every artifact must pass the
 # CHK1201/CHK1202 schema validators before it can gate anything.
 cargo run --release -q -p xtask -- bench --quick

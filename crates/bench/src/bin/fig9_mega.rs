@@ -1,15 +1,17 @@
 //! **Figure 9 at the mega tier**: reordering (pre-processing) time as
 //! the matrix grows into the streamed million-row regime, for RABBIT,
-//! RABBIT++ and BOBA — serial versus engine-parallel
-//! ([`Reordering::reorder_with`]) on the same matrices.
+//! RABBIT++ and BOBA, each run through [`Reordering::reorder_with`]
+//! with a serial context and with the harness engine.
 //!
 //! The original Fig. 9 sweep (`fig9`) tops out at 262k rows because its
 //! generators materialize edge lists; this study stream-generates
 //! community graphs straight into CSR, so the sweep extends to 2M rows
 //! while the resident set stays bounded by the final matrix. Each cell
-//! reports serial wall time, engine-parallel wall time, and verifies
-//! the two permutations are byte-identical (the determinism contract of
-//! the reorder context API).
+//! reports both wall times and verifies the two permutations are
+//! byte-identical (the determinism contract of the reorder context
+//! API). Every reorder phase is currently one serial loop, so the two
+//! columns time the same work until community detection gains a
+//! parallel mode.
 
 use std::time::Instant;
 
@@ -32,7 +34,7 @@ fn main() {
     };
 
     let mut table = Table::new(
-        "Fig. 9 (mega): reordering time vs matrix size, serial -> engine-parallel",
+        "Fig. 9 (mega): reordering time vs matrix size, serial vs engine context",
         vec![
             "n".into(),
             "nnz".into(),
@@ -90,10 +92,9 @@ fn main() {
     println!("{table}");
     println!(
         "Paper shape: community-based reordering keeps scaling linearly past the \
-         materialized-corpus ceiling. Community detection is one serial sweep; \
-         the engine-parallel column fans dendrogram flattening and the chunked \
-         insular scan over {} worker(s), with byte-identical permutations, so \
-         the gap to the serial column is small. BOBA is the lightweight \
+         materialized-corpus ceiling. Every reorder phase is one serial loop, \
+         so the par columns (an engine of {} worker(s)) time the same work as \
+         the serial ones, with byte-identical permutations. BOBA is the lightweight \
          reference: one first-touch pass over the edge stream, orders of \
          magnitude cheaper than community detection.",
         engine.threads()

@@ -79,7 +79,9 @@ pub struct ExperimentSpec {
     pub models: Vec<ExecutionModel>,
     /// Replacement policies.
     pub policies: Vec<ReplacementPolicy>,
-    /// Seed handed to techniques through [`ReorderContext`].
+    /// Seed handed to techniques through [`ReorderContext`] (default
+    /// `0xC0DE`). Built-in techniques ignore it: the seeded ones (RANDOM,
+    /// RABBIT-FLAT) take their seed at construction.
     pub reorder_seed: u64,
 }
 
@@ -97,14 +99,6 @@ impl ExperimentSpec {
             policies: vec![ReplacementPolicy::Lru],
             reorder_seed: 0xC0DE,
         }
-    }
-
-    /// Replaces the seed handed to techniques through [`ReorderContext`]
-    /// (default `0xC0DE`).
-    #[must_use]
-    pub fn reorder_seed(mut self, seed: u64) -> Self {
-        self.reorder_seed = seed;
-        self
     }
 
     /// Adds a matrix under `name` (empty group label).
@@ -270,8 +264,8 @@ impl ExperimentSpec {
                 let started = Instant::now();
                 let permutation = {
                     let _span = obs::span!("grid.reorder", "{}", technique.name());
-                    // Techniques with parallel phases fan out on the same
-                    // engine; the permutation is thread-count-invariant.
+                    // The technique gets the grid's engine through the
+                    // context; the permutation is thread-count-invariant.
                     technique
                         .reorder_with(matrix, &ReorderContext::new(engine, self.reorder_seed))?
                 };

@@ -468,8 +468,8 @@ impl Pipeline {
         self.evaluate_with(matrix, technique, &ReorderContext::serial(0xC0DE))
     }
 
-    /// [`Pipeline::evaluate`] with an execution context: techniques with
-    /// parallel phases fan out on `cx.engine()`. The evaluation is
+    /// [`Pipeline::evaluate`] with an execution context, handed to the
+    /// technique's [`Reordering::reorder_with`]. The evaluation is
     /// byte-identical at any thread count.
     ///
     /// # Errors

@@ -10,83 +10,21 @@
 //! why the paper positions it as the lightweight baseline against
 //! heavyweight community-based orders like RABBIT.
 //!
-//! Here the edge stream is the CSR column array in row-major order. The
-//! parallel path records each chunk's *local* first-touch sequence and
-//! then replays the chunks in storage order through a global seen-set:
-//! a vertex's global first touch is its first touch in the earliest
-//! chunk that saw it, so the concatenation reproduces the serial scan
-//! byte-for-byte at any thread count.
+//! Here the edge stream is the CSR column array in row-major order, and
+//! the pass is one loop over it. This crate keeps it serial: a chunked
+//! scan must replay its chunk-local touch lists through a global
+//! seen-set, and that merge cost as much as the scan it split (DESIGN
+//! §14).
 
-use commorder_exec::Engine;
 use commorder_obs as obs;
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 
 use crate::degree::require_square;
-use crate::{ReorderContext, Reordering};
+use crate::Reordering;
 
 /// The BOBA reordering technique (first-touch edge-order relabeling).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Boba;
-
-impl Boba {
-    /// Computes the first-touch order of `a`'s column stream on
-    /// `engine`, byte-identical at any thread count.
-    fn first_touch_order(a: &CsrMatrix, engine: &Engine) -> Vec<u32> {
-        let n = a.n_rows() as usize;
-        let cols = a.col_indices();
-        // Per-chunk local first-touch sequences, in stream order. The
-        // chunk count depends on the stream length alone, keeping the
-        // nested span layout identical at every thread count.
-        let chunks = crate::par::fixed_chunks(cols.len(), STREAM_PER_CHUNK);
-        let touches: Vec<Vec<u32>> = if chunks.len() > 1 {
-            engine.map(&chunks, |_, &(start, end)| {
-                let mut seen = vec![false; n];
-                let mut local = Vec::new();
-                for &c in &cols[start..end] {
-                    if !seen[c as usize] {
-                        seen[c as usize] = true;
-                        local.push(c);
-                    }
-                }
-                local
-            })
-        } else {
-            let mut seen = vec![false; n];
-            let mut local = Vec::with_capacity(n);
-            for &c in cols {
-                if !seen[c as usize] {
-                    seen[c as usize] = true;
-                    local.push(c);
-                }
-            }
-            vec![local]
-        };
-        // Replay chunk-local touches in stream order through one global
-        // seen-set; untouched vertices keep their original order at the
-        // tail.
-        let mut seen = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        for local in &touches {
-            for &c in local {
-                if !seen[c as usize] {
-                    seen[c as usize] = true;
-                    order.push(c);
-                }
-            }
-        }
-        for v in 0..n as u32 {
-            if !seen[v as usize] {
-                order.push(v);
-            }
-        }
-        order
-    }
-}
-
-/// Minimum column-stream entries per first-touch chunk: a per-chunk
-/// `seen` bitmap costs `n` bytes, so chunks must be large enough to
-/// amortize it.
-const STREAM_PER_CHUNK: usize = 65_536;
 
 impl Reordering for Boba {
     fn name(&self) -> &str {
@@ -94,17 +32,19 @@ impl Reordering for Boba {
     }
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
-        self.reorder_with(a, &ReorderContext::serial(0))
-    }
-
-    fn reorder_with(
-        &self,
-        a: &CsrMatrix,
-        cx: &ReorderContext<'_>,
-    ) -> Result<Permutation, SparseError> {
         require_square(a)?;
         let _span = obs::span!("reorder.boba");
-        let order = Self::first_touch_order(a, cx.engine());
+        let n = a.n_rows() as usize;
+        let mut seen = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        for &c in a.col_indices() {
+            if !seen[c as usize] {
+                seen[c as usize] = true;
+                order.push(c);
+            }
+        }
+        // Untouched vertices keep their original order at the tail.
+        order.extend((0..n as u32).filter(|&v| !seen[v as usize]));
         Permutation::from_order(&order)
     }
 }
@@ -147,18 +87,6 @@ mod tests {
         assert_eq!(p.new_of(0), 1);
         assert_eq!(p.new_of(1), 2);
         assert_eq!(p.new_of(2), 3);
-    }
-
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        let g = Rmat::graph500(11, 8.0).generate(19).unwrap();
-        let serial = Boba.reorder(&g).unwrap();
-        for threads in [2usize, 3, 8] {
-            let engine = Engine::new(threads);
-            let cx = ReorderContext::new(&engine, 0);
-            let parallel = Boba.reorder_with(&g, &cx).unwrap();
-            assert_eq!(serial, parallel, "drift at {threads} threads");
-        }
     }
 
     #[test]

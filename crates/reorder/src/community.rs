@@ -123,47 +123,28 @@ impl Dendrogram {
     #[must_use]
     pub fn dfs_order(&self) -> Vec<u32> {
         let mut order = Vec::with_capacity(self.len());
+        let mut stack = Vec::new();
         for &root in &self.roots {
-            self.dfs_into(root, &mut order);
-        }
-        debug_assert_eq!(order.len(), self.len());
-        order
-    }
-
-    /// [`Dendrogram::dfs_order`] with the per-root traversals fanned out
-    /// over `engine`. Each root's subtree is independent, so chunking
-    /// roots and concatenating the chunk orders in root order reproduces
-    /// the serial traversal byte-for-byte at any thread count.
-    #[must_use]
-    pub fn dfs_order_with(&self, engine: &Engine) -> Vec<u32> {
-        let chunks = crate::par::fixed_chunks(self.roots.len(), ROOTS_PER_CHUNK);
-        if chunks.len() <= 1 {
-            return self.dfs_order();
-        }
-        let segments: Vec<Vec<u32>> = engine.map(&chunks, |_, &(start, end)| {
-            let mut order = Vec::new();
-            for &root in &self.roots[start..end] {
-                self.dfs_into(root, &mut order);
+            stack.push(root);
+            while let Some(v) = stack.pop() {
+                order.push(v);
+                // Push children reversed so the earliest merge is visited
+                // first (closest community member, deepest hierarchy).
+                stack.extend(self.children(v).iter().rev().copied());
             }
-            order
-        });
-        let mut order = Vec::with_capacity(self.len());
-        for segment in segments {
-            order.extend_from_slice(&segment);
         }
         debug_assert_eq!(order.len(), self.len());
         order
     }
 
-    /// Appends the DFS of `root`'s subtree to `order`.
-    fn dfs_into(&self, root: u32, order: &mut Vec<u32>) {
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            // Push children reversed so the earliest merge is visited
-            // first (closest community member, deepest hierarchy).
-            stack.extend(self.children(v).iter().rev().copied());
-        }
+    /// [`Dendrogram::dfs_order`] for callers that carry an engine.
+    ///
+    /// The traversal is one serial loop over the roots; `engine` is
+    /// unused. It stays in the signature so every reorderer phase takes
+    /// the same arguments.
+    #[must_use]
+    pub fn dfs_order_with(&self, _engine: &Engine) -> Vec<u32> {
+        self.dfs_order()
     }
 
     /// Depth of every vertex in the merge forest (roots are depth 0) —
@@ -223,32 +204,15 @@ impl Default for DetectionConfig {
 ///
 /// Self-loops are ignored; directed inputs are symmetrized. Edge values
 /// are used as weights (pattern matrices weigh every edge 1.0).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
-/// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
-pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, SparseError> {
-    detect_with(a, config, &Engine::serial())
-}
-
-/// [`detect`] for callers that carry an engine.
-///
-/// Detection is one serial aggregation sweep over global vertex ids;
-/// `engine` is unused. It stays in the signature so every reorderer
-/// phase takes the same arguments, and the result is a pure function of
-/// `(a, config)`.
+/// Detection is one serial aggregation sweep over global vertex ids, so
+/// the result is a pure function of `(a, config)`.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
 /// [`SparseError::NonFiniteValue`] if a weight of `a`, or of `a + aᵀ`
 /// (whose `f32` sums can overflow), is NaN or infinite.
-pub fn detect_with(
-    a: &CsrMatrix,
-    config: DetectionConfig,
-    _engine: &Engine,
-) -> Result<Dendrogram, SparseError> {
+pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, SparseError> {
     let _span = obs::span!("community.detect");
     check_finite(a)?;
     let sym = {
@@ -275,6 +239,22 @@ pub fn detect_with(
 
     let merges = aggregate(&sym, strength, total_m, &config);
     Ok(Dendrogram::from_merges(n, &merges))
+}
+
+/// [`detect`] for callers that carry an engine.
+///
+/// `engine` is unused. It stays in the signature so every reorderer
+/// phase takes the same arguments.
+///
+/// # Errors
+///
+/// See [`detect`].
+pub fn detect_with(
+    a: &CsrMatrix,
+    config: DetectionConfig,
+    _engine: &Engine,
+) -> Result<Dendrogram, SparseError> {
+    detect(a, config)
 }
 
 /// Rejects the first NaN or infinite value of `m`, in row-major order.
@@ -426,9 +406,6 @@ fn aggregate(
     }
     merges
 }
-
-/// Minimum dendrogram roots per DFS-flattening chunk.
-const ROOTS_PER_CHUNK: usize = 1024;
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,12 @@
 //! Execution context threaded through [`crate::Reordering::reorder_with`].
 //!
-//! Before this context existed every technique was engine-blind: the
-//! suite's work-stealing engine parallelized *across* grid cells, but a
-//! single RABBIT run on a million-row matrix was a serial wall. The
-//! context carries the suite's [`Engine`] (plus the run seed) down into
-//! the techniques, which fan their internal phases out via
-//! [`Engine::map`] while honouring the determinism contract: the
-//! permutation a technique returns is a pure function of the matrix and
-//! its configuration, never of `engine.threads()`.
+//! The context carries the caller's [`Engine`] (plus the run seed) down
+//! into a technique. No built-in technique reads it: every reorder phase
+//! is one serial loop, and the suite parallelizes *across* grid cells,
+//! one engine job per (matrix, technique). A technique that does fan work
+//! out on the engine must honour the determinism contract: the
+//! permutation it returns is a pure function of the matrix and its
+//! configuration, never of `engine.threads()`.
 
 use std::sync::OnceLock;
 
@@ -26,14 +25,15 @@ pub struct ReorderContext<'a> {
 }
 
 impl<'a> ReorderContext<'a> {
-    /// A context borrowing `engine`, with `seed` available to seeded
-    /// techniques (RANDOM, RABBIT-FLAT).
+    /// A context borrowing `engine` and carrying `seed`. The built-in
+    /// seeded techniques (RANDOM, RABBIT-FLAT) take their seed at
+    /// construction and ignore this one.
     #[must_use]
     pub fn new(engine: &'a Engine, seed: u64) -> Self {
         ReorderContext { engine, seed }
     }
 
-    /// The engine to fan parallel phases out on.
+    /// The caller's engine.
     #[must_use]
     pub fn engine(&self) -> &'a Engine {
         self.engine

@@ -60,23 +60,42 @@ impl Reordering for RandomOrder {
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
         require_square(a)?;
-        let n = a.n_rows() as usize;
         let mut ids: Vec<u32> = (0..a.n_rows()).collect();
-        // Inline SplitMix64-driven Fisher-Yates; the reorder crate stays
-        // independent of the synth crate's RNG.
-        let mut state = self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
+        Shuffler::new(self.seed).shuffle(&mut ids);
+        Permutation::from_new_ids(ids)
+    }
+}
+
+/// Seeded Fisher–Yates shuffles driven by one SplitMix64 stream, shared
+/// by RANDOM and RABBIT-FLAT. Inline so the reorder crate stays
+/// independent of the synth crate's RNG.
+pub(crate) struct Shuffler {
+    state: u64,
+}
+
+impl Shuffler {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    pub(crate) fn new(seed: u64) -> Self {
+        Shuffler {
+            state: seed.wrapping_add(Self::GAMMA),
+        }
+    }
+
+    fn next(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(Self::GAMMA);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Shuffles `ids` in place, continuing this stream.
+    pub(crate) fn shuffle(&mut self, ids: &mut [u32]) {
+        for i in (1..ids.len()).rev() {
+            let j = (self.next() % (i as u64 + 1)) as usize;
             ids.swap(i, j);
         }
-        Permutation::from_new_ids(ids)
     }
 }
 

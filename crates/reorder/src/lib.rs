@@ -44,7 +44,6 @@ mod context;
 mod degree;
 mod gorder;
 mod labelprop;
-mod par;
 mod rabbit;
 mod rabbitpp;
 mod rcm;
@@ -91,11 +90,11 @@ pub trait Reordering: Send + Sync {
 
     /// Computes the permutation for `a` with an execution context.
     ///
-    /// Techniques with parallel phases (RABBIT, RABBIT++, BOBA) fan work
-    /// out on `cx.engine()`; the result must be byte-identical to
-    /// [`Reordering::reorder`] at any thread count. The default
-    /// implementation ignores the context and delegates to the serial
-    /// path, so purely sequential techniques need not opt in.
+    /// The result must be byte-identical to [`Reordering::reorder`] at
+    /// any thread count. The default ignores the context and delegates to
+    /// [`Reordering::reorder`]; no built-in technique overrides it, since
+    /// every reorder phase is one serial loop and parallelism lives at
+    /// the grid level (one engine job per matrix and technique).
     ///
     /// # Errors
     ///

@@ -6,9 +6,6 @@
 use commorder_exec::Engine;
 use commorder_sparse::{CsrMatrix, SparseError};
 
-/// Minimum rows per insular-scan chunk; below this the serial scan wins.
-const ROWS_PER_CHUNK: usize = 4096;
-
 fn validate(a: &CsrMatrix, assignment: &[u32]) -> Result<(), SparseError> {
     if !a.is_square() {
         return Err(SparseError::DimensionMismatch {
@@ -55,14 +52,21 @@ pub fn insularity(a: &CsrMatrix, assignment: &[u32]) -> Result<f64, SparseError>
 /// Returns [`SparseError::DimensionMismatch`] on a non-square matrix or a
 /// wrong-length assignment.
 pub fn insular_nodes(a: &CsrMatrix, assignment: &[u32]) -> Result<Vec<bool>, SparseError> {
-    insular_nodes_with(a, assignment, &Engine::serial())
+    validate(a, assignment)?;
+    let mut mask = vec![true; a.n_rows() as usize];
+    for (r, c, _) in a.iter() {
+        if assignment[r as usize] != assignment[c as usize] {
+            mask[r as usize] = false;
+            mask[c as usize] = false;
+        }
+    }
+    Ok(mask)
 }
 
-/// [`insular_nodes`] fanned out on `engine`: each job scans a row range
-/// and reports the vertices its cross-community entries clear (both
-/// endpoints), and the sparse clear-lists are applied to one mask.
-/// Clearing is commutative and idempotent, so the result is
-/// byte-identical to the serial scan at any thread count.
+/// [`insular_nodes`] for callers that carry an engine.
+///
+/// The scan is one serial row loop; `engine` is unused. It stays in the
+/// signature so every reorderer phase takes the same arguments.
 ///
 /// # Errors
 ///
@@ -70,42 +74,9 @@ pub fn insular_nodes(a: &CsrMatrix, assignment: &[u32]) -> Result<Vec<bool>, Spa
 pub fn insular_nodes_with(
     a: &CsrMatrix,
     assignment: &[u32],
-    engine: &Engine,
+    _engine: &Engine,
 ) -> Result<Vec<bool>, SparseError> {
-    validate(a, assignment)?;
-    let n = a.n_rows() as usize;
-    let mut mask = vec![true; n];
-    // Range count depends on the row count alone so the nested span
-    // layout is identical at every thread count.
-    let ranges = crate::par::fixed_chunks_u32(n, ROWS_PER_CHUNK);
-    if ranges.len() <= 1 {
-        for (r, c, _) in a.iter() {
-            if assignment[r as usize] != assignment[c as usize] {
-                mask[r as usize] = false;
-                mask[c as usize] = false;
-            }
-        }
-        return Ok(mask);
-    }
-    let cleared_lists = engine.map(&ranges, |_, &(start, end)| {
-        let mut cleared = Vec::new();
-        for r in start..end {
-            let (cols, _) = a.row(r);
-            for &c in cols {
-                if assignment[r as usize] != assignment[c as usize] {
-                    cleared.push(r);
-                    cleared.push(c);
-                }
-            }
-        }
-        cleared
-    });
-    for cleared in cleared_lists {
-        for v in cleared {
-            mask[v as usize] = false;
-        }
-    }
-    Ok(mask)
+    insular_nodes(a, assignment)
 }
 
 /// Fraction of nodes that are insular (Fig. 4's y-axis).

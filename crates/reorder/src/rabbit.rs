@@ -7,12 +7,12 @@
 //! hierarchy onto the cache hierarchy: innermost communities to the
 //! closest cache, outer levels to larger caches (§V-A).
 
-use commorder_exec::Engine;
 use commorder_obs as obs;
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 
 use crate::community::{self, Dendrogram, DetectionConfig};
-use crate::{ReorderContext, Reordering};
+use crate::degree::Shuffler;
+use crate::Reordering;
 
 /// The RABBIT reordering technique.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -49,23 +49,11 @@ impl Rabbit {
     /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
     /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
     pub fn run(&self, a: &CsrMatrix) -> Result<RabbitResult, SparseError> {
-        self.run_with(a, &Engine::serial())
-    }
-
-    /// [`Rabbit::run`] with the dendrogram DFS walking root chunks in
-    /// parallel on `engine`. Community detection is one serial sweep.
-    /// Byte-identical to the serial run at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
-    /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
-    pub fn run_with(&self, a: &CsrMatrix, engine: &Engine) -> Result<RabbitResult, SparseError> {
         let _span = obs::span!("reorder.rabbit");
-        let dendrogram = community::detect_with(a, self.detection, engine)?;
+        let dendrogram = community::detect(a, self.detection)?;
         let (permutation, assignment) = {
             let _order_span = obs::span!("rabbit.order");
-            let order = dendrogram.dfs_order_with(engine);
+            let order = dendrogram.dfs_order();
             (Permutation::from_order(&order)?, dendrogram.assignment())
         };
         Ok(RabbitResult {
@@ -83,14 +71,6 @@ impl Reordering for Rabbit {
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
         Ok(self.run(a)?.permutation)
-    }
-
-    fn reorder_with(
-        &self,
-        a: &CsrMatrix,
-        cx: &ReorderContext<'_>,
-    ) -> Result<Permutation, SparseError> {
-        Ok(self.run_with(a, cx.engine())?.permutation)
     }
 }
 
@@ -114,21 +94,12 @@ impl FlatCommunity {
     pub fn new(seed: u64) -> Self {
         FlatCommunity { seed }
     }
-}
 
-impl FlatCommunity {
     /// Shuffles members within each community run of `result`'s order.
     fn shuffled_order(&self, result: &RabbitResult) -> Result<Permutation, SparseError> {
-        let mut order = result.dendrogram.dfs_order();
-        // SplitMix64-driven Fisher–Yates within each community run.
-        let mut state = self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        // The inverse of RABBIT's permutation is its dendrogram DFS order.
+        let mut order = result.permutation.inverse().into_inner();
+        let mut shuffler = Shuffler::new(self.seed);
         let mut start = 0usize;
         while start < order.len() {
             let community = result.assignment[order[start] as usize];
@@ -136,11 +107,7 @@ impl FlatCommunity {
             while end < order.len() && result.assignment[order[end] as usize] == community {
                 end += 1;
             }
-            let run = &mut order[start..end];
-            for i in (1..run.len()).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
-                run.swap(i, j);
-            }
+            shuffler.shuffle(&mut order[start..end]);
             start = end;
         }
         Permutation::from_order(&order)
@@ -154,14 +121,6 @@ impl Reordering for FlatCommunity {
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
         self.shuffled_order(&Rabbit::new().run(a)?)
-    }
-
-    fn reorder_with(
-        &self,
-        a: &CsrMatrix,
-        cx: &ReorderContext<'_>,
-    ) -> Result<Permutation, SparseError> {
-        self.shuffled_order(&Rabbit::new().run_with(a, cx.engine())?)
     }
 }
 

@@ -26,7 +26,7 @@ use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 use crate::degree::hub_mask;
 use crate::quality;
 use crate::rabbit::{Rabbit, RabbitResult};
-use crate::{ReorderContext, Reordering};
+use crate::Reordering;
 
 /// How hub nodes are laid out (the second modification of Fig. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,27 +141,11 @@ impl RabbitPlusPlus {
     /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
     /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
     pub fn run(&self, a: &CsrMatrix) -> Result<RabbitPlusPlusResult, SparseError> {
-        self.run_with(a, &Engine::serial())
-    }
-
-    /// [`RabbitPlusPlus::run`] with the RABBIT phases and the insular
-    /// scan fanned out on `engine`; byte-identical to the serial run at
-    /// any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
-    /// [`SparseError::NonFiniteValue`] if a weight is NaN or infinite.
-    pub fn run_with(
-        &self,
-        a: &CsrMatrix,
-        engine: &Engine,
-    ) -> Result<RabbitPlusPlusResult, SparseError> {
         let _span = obs::span!("reorder.rabbitpp");
-        let rabbit = Rabbit::new().run_with(a, engine)?;
+        let rabbit = Rabbit::new().run(a)?;
         let insular = {
             let _insular_span = obs::span!("rabbitpp.insular");
-            quality::insular_nodes_with(a, &rabbit.assignment, engine)?
+            quality::insular_nodes(a, &rabbit.assignment)?
         };
         let _group_span = obs::span!("rabbitpp.group");
         let hubs = hub_mask(a);
@@ -206,6 +190,22 @@ impl RabbitPlusPlus {
             hubs,
         })
     }
+
+    /// [`RabbitPlusPlus::run`] for callers that carry an engine.
+    ///
+    /// Every phase is one serial loop; `engine` is unused. It stays in
+    /// the signature so every reorderer phase takes the same arguments.
+    ///
+    /// # Errors
+    ///
+    /// See [`RabbitPlusPlus::run`].
+    pub fn run_with(
+        &self,
+        a: &CsrMatrix,
+        _engine: &Engine,
+    ) -> Result<RabbitPlusPlusResult, SparseError> {
+        self.run(a)
+    }
 }
 
 impl Reordering for RabbitPlusPlus {
@@ -213,7 +213,8 @@ impl Reordering for RabbitPlusPlus {
         match (self.config.group_insular, self.config.hub_policy) {
             (true, HubPolicy::Group) => "RABBIT++",
             (false, HubPolicy::None) => "RABBIT",
-            (_, HubPolicy::Sort) => "RABBIT+HUBSORT",
+            (true, HubPolicy::Sort) => "RABBIT+INSULAR+HUBSORT",
+            (false, HubPolicy::Sort) => "RABBIT+HUBSORT",
             (true, HubPolicy::None) => "RABBIT+INSULAR",
             (false, HubPolicy::Group) => "RABBIT+HUBGROUP",
         }
@@ -221,14 +222,6 @@ impl Reordering for RabbitPlusPlus {
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
         Ok(self.run(a)?.permutation)
-    }
-
-    fn reorder_with(
-        &self,
-        a: &CsrMatrix,
-        cx: &ReorderContext<'_>,
-    ) -> Result<Permutation, SparseError> {
-        Ok(self.run_with(a, cx.engine())?.permutation)
     }
 }
 
@@ -258,6 +251,15 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             space.iter().map(RabbitPlusPlusConfig::label).collect();
         assert_eq!(labels.len(), 6);
+    }
+
+    #[test]
+    fn design_space_has_six_distinct_technique_names() {
+        let names: std::collections::HashSet<_> = RabbitPlusPlusConfig::design_space()
+            .into_iter()
+            .map(|c| RabbitPlusPlus::with_config(c).name().to_string())
+            .collect();
+        assert_eq!(names.len(), 6, "two Table II cells share a name");
     }
 
     #[test]

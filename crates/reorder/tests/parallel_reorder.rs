@@ -1,16 +1,16 @@
-//! Thread-count invariance and golden permutations at corpus scale: the
-//! engine-parallel reorder paths (`Reordering::reorder_with`) must
-//! emit permutations byte-identical to the serial ones on real 131k-row
-//! corpus entries, at every thread count, and the serial permutations
-//! themselves are pinned by golden fingerprints.
+//! Thread-count invariance and golden permutations at corpus scale:
+//! `Reordering::reorder_with` must emit permutations byte-identical to
+//! the serial `reorder` on real 131k-row corpus entries, at every engine
+//! width, and the serial permutations themselves are pinned by golden
+//! fingerprints.
 //!
 //! Two entries cover the two graph shapes detection meets:
 //! `soc-rmat-131k` is one giant component plus isolated vertices, while
-//! `kmer-131k` splits into many chain islands. Community detection is
-//! one serial sweep on both; the parallelism under test lives in
-//! dendrogram flattening, the RABBIT++ insular scan and BOBA's
-//! first-touch streams. The goldens pin the algorithms, so a silent
-//! change cannot hide behind self-consistent parallel runs.
+//! `kmer-131k` splits into many chain islands. Every reorder phase is
+//! one serial loop, so the engine width must not reach a permutation;
+//! the goldens pin the algorithms (detection, dendrogram DFS, insular
+//! grouping, BOBA's first touch and RABBIT-FLAT's seeded shuffle), so a
+//! silent change cannot hide behind self-consistent runs.
 //!
 //! Both corpus entries are pattern matrices, whose integral weight sums
 //! are exact in any order. `planted-real` carries non-dyadic weights,
@@ -36,6 +36,7 @@ const GOLDEN: &[(&str, &[(&str, u64)])] = &[
             ("RABBIT", 0x7DD1_8AD7_146A_48D1),
             ("RABBIT++", 0xFE57_094B_445D_98B5),
             ("BOBA", 0x3E15_2420_A19B_4C41),
+            ("RABBIT-FLAT", 0xADC3_670B_BB8E_49E5),
         ],
     ),
     (
@@ -44,6 +45,7 @@ const GOLDEN: &[(&str, &[(&str, u64)])] = &[
             ("RABBIT", 0x83E8_7365_0BAB_E161),
             ("RABBIT++", 0xB872_E892_D992_B8E1),
             ("BOBA", 0xD78D_8BE1_A162_9F6D),
+            ("RABBIT-FLAT", 0xD1D2_761E_F496_2BB5),
         ],
     ),
     (

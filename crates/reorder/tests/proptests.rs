@@ -52,9 +52,8 @@ fn every_technique_is_total_and_bijective() {
 #[test]
 fn reorder_with_matches_serial_reorder_at_any_thread_count() {
     // The context API's determinism contract: for every registered
-    // technique — whether it overrides `reorder_with` with parallel
-    // phases or inherits the serial default — the permutation is a pure
-    // function of the matrix, never of the engine width.
+    // technique, the permutation is a pure function of the matrix,
+    // never of the engine width.
     run_cases("techniques-thread-invariant", DEFAULT_CASES, |rng| {
         let g = arb_graph(rng, 26, 4);
         let threads = 1 + rng.gen_u32(8) as usize;

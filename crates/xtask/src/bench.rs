@@ -18,6 +18,8 @@
 
 use std::fmt::Write as _;
 
+use commorder_obs::event::json_string;
+
 /// Schema discriminator written on line 2 of every v2 artifact.
 pub const SCHEMA_V2: &str = "commorder-bench.v2";
 
@@ -173,12 +175,6 @@ pub struct BenchReport {
     pub metrics: Vec<Metric>,
 }
 
-/// Escapes `"` and `\` for embedding in a JSON string literal; the
-/// only two characters a CPU model line can realistically smuggle in.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl BenchReport {
     /// Creates an empty report for `bench` on the detected machine.
     #[must_use]
@@ -222,11 +218,11 @@ impl BenchReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"{SCHEMA_V2}\",");
-        let _ = writeln!(out, "  \"bench\": \"{}\",", escape(&self.bench));
+        let _ = writeln!(out, "  \"bench\": {},", json_string(&self.bench));
         let _ = writeln!(
             out,
-            "  \"machine\": {{\"cpu\":\"{}\",\"threads\":{},\"mem_total_kb\":{},\"fingerprint\":\"{:016x}\"}},",
-            escape(&self.machine.cpu),
+            "  \"machine\": {{\"cpu\":{},\"threads\":{},\"mem_total_kb\":{},\"fingerprint\":\"{:016x}\"}},",
+            json_string(&self.machine.cpu),
             self.machine.threads,
             self.machine.mem_total_kb,
             self.machine.fingerprint(),
@@ -239,8 +235,8 @@ impl BenchReport {
                 let comma = if i + 1 < fingerprints.len() { "," } else { "" };
                 let _ = writeln!(
                     out,
-                    "    {{\"name\":\"{}\",\"value\":\"{:016x}\"}}{comma}",
-                    escape(&fp.name),
+                    "    {{\"name\":{},\"value\":\"{:016x}\"}}{comma}",
+                    json_string(&fp.name),
                     fp.value,
                 );
             }
@@ -251,10 +247,10 @@ impl BenchReport {
             let comma = if i + 1 < metrics.len() { "," } else { "" };
             let _ = writeln!(
                 out,
-                "    {{\"name\":\"{}\",\"value\":{},\"unit\":\"{}\",\"higher_is_better\":{}}}{comma}",
-                escape(&m.name),
+                "    {{\"name\":{},\"value\":{},\"unit\":{},\"higher_is_better\":{}}}{comma}",
+                json_string(&m.name),
                 m.value,
-                escape(&m.unit),
+                json_string(&m.unit),
                 m.higher_is_better,
             );
         }
@@ -407,6 +403,20 @@ mod tests {
         assert!((parsed.metrics[0].value - 150_000_000.0).abs() < 1e-6);
         assert!(parsed.metrics[0].higher_is_better);
         assert!(!parsed.metrics[1].higher_is_better);
+    }
+
+    #[test]
+    fn control_characters_in_the_cpu_line_are_escaped() {
+        let mut report = sample();
+        report.machine.cpu = "Test\tCPU \"x\" \\ y".to_string();
+        let json = report.render_json();
+        assert!(
+            json.contains("\"cpu\":\"Test\\tCPU \\\"x\\\" \\\\ y\""),
+            "{json}"
+        );
+        // `parse` rejects any artifact the CHK12xx validators flag.
+        let parsed = BenchReport::parse(&json).expect("round trip");
+        assert_eq!(parsed.machine.cpu, report.machine.cpu);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! `cargo run -p xtask -- bench` is the unified bench driver
 //! (subsuming the retired `bench-analyze`/`bench-reorder` tasks): it
 //! measures the analyzer (lexer throughput, self-host wall time), the
-//! engine-parallel reorderers (Medges/s at several thread counts, peak
+//! community and BOBA reorderers (Medges/s at several engine widths, peak
 //! RSS, permutation fingerprints), and the full simulation pipeline
 //! (trace-generation and LRU/PLRU/Belady simulated accesses/s,
 //! end-to-end suite wall time), writing one schema-versioned
@@ -350,7 +350,7 @@ fn run_bench_analyze(root: &Path) -> Result<BenchReport, String> {
     Ok(report)
 }
 
-/// Benchmarks the engine-parallel reorderers on a streamed corpus
+/// Benchmarks RABBIT, RABBIT++ and BOBA on a streamed corpus
 /// entry (`--quick`: a standard-tier social graph at 1/2 threads;
 /// full: the mega-tier k-mer chain at 1/2/8 threads). Permutations
 /// must be byte-identical across thread counts; their FNV-1a hashes
