@@ -515,30 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn batches_emit_job_spans_and_counters() {
-        // The only telemetry-installing test in this binary (the obs
-        // dispatcher is process-global).
-        let _serial = obs::tests_serial();
-        let registry = std::sync::Arc::new(obs::Registry::new());
-        let _guard = obs::install(registry.clone());
-        let engine = Engine::new(2);
-        let (outputs, stats) = engine.run_with_stats((0..12u64).collect(), |_, x| x * 2);
-        assert_eq!(outputs.len(), 12);
-        assert_eq!(registry.counter("exec.jobs"), 12);
-        assert_eq!(registry.counter("exec.steals"), stats.steals);
-        let spans = registry.span("exec.job").expect("job spans recorded");
-        assert_eq!(spans.count, 12);
-        let waits = registry
-            .histogram("exec.queue_wait_seconds")
-            .expect("queue waits observed");
-        assert_eq!(waits.count, 12);
-        assert_eq!(
-            registry.gauge("exec.utilization"),
-            Some(stats.utilization())
-        );
-    }
-
-    #[test]
     fn panicking_job_is_contained() {
         let engine = Engine::new(2);
         let (results, stats) = engine.try_run_with_stats((0..8u32).collect(), |_, x| {
