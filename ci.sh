@@ -20,12 +20,13 @@ echo "== analyzer JSON report validates (CHK1101)"
 cargo run -q -p xtask -- lint --json > /tmp/commorder-lint.json
 cargo run -q -p commorder --bin commorder-cli -- check /tmp/commorder-lint.json
 
-echo "== CLI-surfaced analyze report validates (analyze --source --json)"
-# Same validation through the public CLI surface: the report consumers
-# script against must stay in lockstep with the xtask one.
+echo "== CLI-surfaced analyze report matches xtask lint (analyze --source --json)"
+# The report consumers script against through the public CLI surface
+# must stay in lockstep with the xtask one: byte-identical to the
+# report the previous step validated.
 cargo run -q -p commorder --bin commorder-cli -- analyze --source --json \
   > /tmp/commorder-analyze-cli.json
-cargo run -q -p commorder --bin commorder-cli -- check /tmp/commorder-analyze-cli.json
+cmp /tmp/commorder-lint.json /tmp/commorder-analyze-cli.json
 
 echo "== analyzer goldens are fresh (regenerate + git diff)"
 # The byte-frozen fixtures must match what the current analyzer emits;

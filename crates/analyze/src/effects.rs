@@ -57,6 +57,7 @@ use crate::findings::{Finding, Severity};
 use crate::items::{
     call_opens, code_indices, double_colon_at, ident_in, ident_is, in_ranges, is_punct, loop_bodies,
 };
+use crate::layering::all_sccs;
 use crate::lexer::{Token, TokenKind};
 use crate::model::{CrateData, EffectRow, EffectsReport};
 
@@ -495,74 +496,6 @@ fn propagate(local: &[u32], adj: &[Vec<usize>]) -> Vec<u32> {
     mask
 }
 
-/// Iterative Tarjan over the whole graph, singletons included, in
-/// emission order (each component's callees precede it).
-fn all_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct NodeState {
-        index: u32,
-        low: u32,
-        on_stack: bool,
-        visited: bool,
-    }
-    let mut state = vec![
-        NodeState {
-            index: 0,
-            low: 0,
-            on_stack: false,
-            visited: false,
-        };
-        n
-    ];
-    let mut next_index = 0u32;
-    let mut stack = Vec::new();
-    let mut sccs = Vec::new();
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if state[start].visited {
-            continue;
-        }
-        frames.push((start, 0));
-        while let Some(frame) = frames.last_mut() {
-            let v = frame.0;
-            if frame.1 == 0 {
-                state[v].visited = true;
-                state[v].index = next_index;
-                state[v].low = next_index;
-                next_index += 1;
-                state[v].on_stack = true;
-                stack.push(v);
-            }
-            if let Some(&w) = adj[v].get(frame.1) {
-                frame.1 += 1;
-                if !state[w].visited {
-                    frames.push((w, 0));
-                } else if state[w].on_stack {
-                    state[v].low = state[v].low.min(state[w].index);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    let low = state[v].low;
-                    state[parent].low = state[parent].low.min(low);
-                }
-                if state[v].low == state[v].index {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        state[w].on_stack = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-    sccs
-}
-
 /// Derives the witness next-hops: for each bit, a multi-source BFS
 /// over the reversed graph measures the distance of every node to the
 /// nearest local source, and `via[u]` picks the smallest-indexed
@@ -577,9 +510,7 @@ fn witnesses(local: &[u32], mask: &[u32], adj: &[Vec<usize>]) -> Vec<[i32; 6]> {
         }
     }
     let mut via = vec![[-1i32; 6]; n];
-    for (b, row) in BIT_NAMES.iter().enumerate() {
-        let _ = row;
-        let bit = 1u32 << b;
+    for (b, bit) in (0..BIT_NAMES.len()).map(|b| (b, 1u32 << b)) {
         let mut dist: Vec<Option<u32>> = vec![None; n];
         let mut queue = VecDeque::new();
         for u in 0..n {

@@ -312,19 +312,19 @@ mod tests {
     fn sample() -> AnalysisReport {
         let mut report = AnalysisReport::default();
         report.findings.push(Finding {
-            code: "XT0002",
+            code: "XT0007",
             severity: Severity::Error,
             file: "crates/x/src/lib.rs".to_string(),
             line: 3,
             col_start: 5,
             col_end: 11,
-            message: "unwrap() in non-test library code".to_string(),
+            message: "non-test code must stream traces through TraceSource".to_string(),
         });
         report.findings.push(Finding::file_scoped(
-            "XT0202",
+            "XT0201",
             Severity::Error,
-            "Cargo.toml",
-            "workspace manifest must declare the [workspace.lints] deny-list".to_string(),
+            "crates/x/Cargo.toml",
+            "crate must opt into the workspace lint table ([lints] workspace = true)".to_string(),
         ));
         report.finish();
         report
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn finish_sorts_by_file_then_position() {
         let report = sample();
-        assert_eq!(report.findings[0].file, "Cargo.toml");
+        assert_eq!(report.findings[0].file, "crates/x/Cargo.toml");
         assert_eq!(report.findings[1].file, "crates/x/src/lib.rs");
         assert_eq!(report.errors(), 2);
         assert_eq!(report.warnings(), 0);
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn text_report_has_summary_line() {
         let text = sample().render_text();
-        assert!(text.contains("error[XT0002] crates/x/src/lib.rs:3:5-11:"));
+        assert!(text.contains("error[XT0007] crates/x/src/lib.rs:3:5-11:"));
         assert!(text.ends_with("analyze: 2 error(s), 0 warning(s)\n"));
     }
 

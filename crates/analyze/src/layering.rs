@@ -1,12 +1,13 @@
-//! Layering and cycle analysis (`XT0401`–`XT0404`).
+//! Layering and module-cycle analysis (`XT0402`–`XT0404`).
 //!
 //! The inter-crate and intra-crate dependency graphs are extracted
 //! from `use` declarations and path expressions — not from manifests —
 //! so the analysis sees what the code actually references. A declared
 //! layer table assigns each crate a height; every edge must point
-//! strictly downward. Cycles are reported per strongly connected
-//! component (Tarjan), both between crates and between the top-level
-//! modules of one crate.
+//! strictly downward, so a crate cycle always carries an `XT0402` edge
+//! and needs no pass of its own. Cycles between the top-level modules
+//! of one crate are reported per strongly connected component
+//! ([`all_sccs`], the one Tarjan the call-graph and effect passes share).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,10 +16,11 @@ use crate::findings::{Finding, Severity};
 use crate::model::{CrateData, EdgeAnchor};
 
 /// Tarjan's strongly-connected-components algorithm, iterative so deep
-/// graphs cannot overflow the stack. Returns components of size ≥ 2 in
-/// discovery order, members sorted.
+/// graphs cannot overflow the stack. Returns every component,
+/// singletons included, in emission order: each component's successors
+/// precede it (reverse topological order).
 #[must_use]
-pub fn cyclic_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+pub fn all_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: u32,
@@ -77,10 +79,7 @@ pub fn cyclic_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
                             break;
                         }
                     }
-                    if comp.len() >= 2 {
-                        comp.sort_unstable();
-                        sccs.push(comp);
-                    }
+                    sccs.push(comp);
                 }
             }
         }
@@ -88,9 +87,23 @@ pub fn cyclic_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     sccs
 }
 
+/// The cyclic components of [`all_sccs`] (size ≥ 2) in the same order,
+/// members sorted.
+#[must_use]
+pub fn cyclic_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    all_sccs(n, adj)
+        .into_iter()
+        .filter(|comp| comp.len() >= 2)
+        .map(|mut comp| {
+            comp.sort_unstable();
+            comp
+        })
+        .collect()
+}
+
 /// Runs the crate-level checks: every crate must appear in the layer
-/// table (`XT0404`), every edge must point strictly downward
-/// (`XT0402`), and the crate graph must be acyclic (`XT0401`).
+/// table (`XT0404`) and every edge must point strictly downward
+/// (`XT0402`).
 #[must_use]
 pub fn check_crates(
     crates: &[CrateData],
@@ -136,22 +149,6 @@ pub fn check_crates(
                 ),
             });
         }
-    }
-
-    let mut adj = vec![Vec::new(); crates.len()];
-    for &(src, dst) in edges.keys() {
-        if src != dst {
-            adj[src].push(dst);
-        }
-    }
-    for comp in cyclic_sccs(crates.len(), &adj) {
-        let names: Vec<&str> = comp.iter().map(|&i| crates[i].dir_name.as_str()).collect();
-        out.push(Finding::file_scoped(
-            codes::CRATE_CYCLE,
-            Severity::Error,
-            &crates[comp[0]].manifest_rel,
-            format!("crate dependency cycle: {}", names.join(" -> ")),
-        ));
     }
     out
 }
@@ -207,6 +204,13 @@ mod tests {
         let adj = vec![vec![1], vec![2], vec![0, 3], vec![]];
         let sccs = cyclic_sccs(4, &adj);
         assert_eq!(sccs, vec![vec![0, 1, 2]]);
+    }
+
+    #[test]
+    fn all_sccs_emits_successors_first() {
+        // 0 -> {1, 2} with 1 <-> 2: the cycle closes before its caller.
+        let adj = vec![vec![1], vec![2], vec![1]];
+        assert_eq!(all_sccs(3, &adj), vec![vec![2, 1], vec![0]]);
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!
 //! 1. [`source_rules`] — the call-site, crate-header, and doc rules
 //!    (`XT0001`–`XT0301`), now immune to string/comment false
-//!    positives;
+//!    positives; what clippy, rustc or cargo already enforce
+//!    (`unwrap`, `todo!`, `forbid(unsafe_code)`, `[workspace.lints]`)
+//!    has no rule here;
 //! 2. [`layering`] — inter-crate and intra-crate dependency graphs
 //!    from `use`/path tokens, checked against a declared layer table
-//!    with Tarjan SCC cycle reports (`XT0401`–`XT0404`);
+//!    (`XT0402`/`XT0404`, which together rule out crate cycles) with
+//!    Tarjan SCC module-cycle reports (`XT0403`);
 //! 3. [`determinism`] — nondeterminism hazards in modules reachable
 //!    from `render_json`/`Pipeline` (`XT0501`–`XT0504`);
 //! 4. [`telemetry_names`] — `span!`/`counter!`/`gauge!`/`observe!`

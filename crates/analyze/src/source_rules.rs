@@ -1,5 +1,7 @@
-//! Token-stream re-implementation of the call-site and header rules
-//! (`XT0001`–`XT0007`, `XT0101`/`XT0102`, `XT0301`).
+//! Token-stream call-site, crate-header and doc rules (`XT0001`,
+//! `XT0003`, `XT0004`, `XT0006`, `XT0007`, `XT0102`, `XT0301`).
+//! `unwrap`, `todo!`/`unimplemented!` and `forbid(unsafe_code)` are
+//! left to the workspace lint table, which clippy and rustc enforce.
 //!
 //! Matching on identifier tokens instead of raw lines eliminates both
 //! false-positive classes of the old line-regex lint: occurrences
@@ -103,19 +105,6 @@ pub fn scan(ctx: &SourceContext<'_>) -> Vec<Finding> {
                     "unsafe code is forbidden across the workspace",
                 ));
             }
-            if word == "unwrap"
-                && ci >= 1
-                && ctx.punct_at(&code, ci - 1, '.')
-                && ctx.punct_at(&code, ci + 1, '(')
-                && ctx.punct_at(&code, ci + 2, ')')
-            {
-                out.push(ctx.finding(
-                    codes::UNWRAP_CALL,
-                    Severity::Error,
-                    tok,
-                    "library code must not unwrap(); return a SparseError or use expect with a proof",
-                ));
-            }
             if !ctx.is_bin
                 && word == "expect"
                 && ci >= 1
@@ -135,14 +124,6 @@ pub fn scan(ctx: &SourceContext<'_>) -> Vec<Finding> {
                     Severity::Warning,
                     tok,
                     "panic! in library code: prefer a structured error",
-                ));
-            }
-            if (word == "todo" || word == "unimplemented") && ctx.punct_at(&code, ci + 1, '!') {
-                out.push(ctx.finding(
-                    codes::TODO_CALL,
-                    Severity::Error,
-                    tok,
-                    "todo!/unimplemented! must not ship",
                 ));
             }
             if ctx.is_quiet
@@ -273,45 +254,30 @@ fn documented_pub_item(ctx: &SourceContext<'_>, code: &[usize], ci: usize) -> bo
     .any(|kw| ctx.ident_at(code, k, kw))
 }
 
-/// Checks a library root (`lib.rs`) for the required inner attributes,
-/// matching attribute *tokens* so a mention in a doc comment no longer
-/// satisfies the rule.
+/// Checks a library root (`lib.rs`) for `#![warn(missing_docs)]` or
+/// `#![deny(missing_docs)]` (`XT0102`), matching attribute *tokens* so
+/// a mention in a doc comment does not satisfy the rule.
 #[must_use]
-pub fn check_lib_header(src: &str, tokens: &[Token], rel: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    if !has_inner_lint_attr(src, tokens, &["forbid"], "unsafe_code") {
-        out.push(Finding::file_scoped(
-            codes::MISSING_FORBID_UNSAFE,
-            Severity::Error,
-            rel,
-            "library crate must declare #![forbid(unsafe_code)]".to_string(),
-        ));
-    }
-    if !has_inner_lint_attr(src, tokens, &["warn", "deny"], "missing_docs") {
-        out.push(Finding::file_scoped(
+pub fn check_lib_header(src: &str, tokens: &[Token], rel: &str) -> Option<Finding> {
+    let code = code_indices(tokens);
+    let text = |at: usize| code.get(at).map(|&i| tokens[i].text(src));
+    let declared = (0..code.len()).any(|i| {
+        text(i) == Some("#")
+            && text(i + 1) == Some("!")
+            && text(i + 2) == Some("[")
+            && text(i + 3).is_some_and(|w| w == "warn" || w == "deny")
+            && text(i + 4) == Some("(")
+            && text(i + 5) == Some("missing_docs")
+            && text(i + 6) == Some(")")
+            && text(i + 7) == Some("]")
+    });
+    (!declared).then(|| {
+        Finding::file_scoped(
             codes::MISSING_DOCS_LINT,
             Severity::Error,
             rel,
             "library crate must enable the missing_docs lint".to_string(),
-        ));
-    }
-    out
-}
-
-/// `true` when the stream contains `#![level(lint)]` for one of the
-/// given levels.
-fn has_inner_lint_attr(src: &str, tokens: &[Token], levels: &[&str], lint: &str) -> bool {
-    let code = code_indices(tokens);
-    let text = |at: usize| code.get(at).map(|&i| tokens[i].text(src));
-    (0..code.len()).any(|i| {
-        text(i) == Some("#")
-            && text(i + 1) == Some("!")
-            && text(i + 2) == Some("[")
-            && text(i + 3).is_some_and(|w| levels.contains(&w))
-            && text(i + 4) == Some("(")
-            && text(i + 5) == Some(lint)
-            && text(i + 6) == Some(")")
-            && text(i + 7) == Some("]")
+        )
     })
 }
 
@@ -341,18 +307,18 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_in_code_fires_with_span() {
-        let f = scan_src("fn f() { val.unwrap(); }\n", false, false);
-        assert_eq!(codes_of(&f), vec![codes::UNWRAP_CALL]);
-        assert_eq!((f[0].line, f[0].col_start, f[0].col_end), (1, 14, 20));
+    fn collect_trace_in_code_fires_with_span() {
+        let f = scan_src("fn f() { src.collect_trace(); }\n", false, false);
+        assert_eq!(codes_of(&f), vec![codes::TRACE_BUFFER]);
+        assert_eq!((f[0].line, f[0].col_start, f[0].col_end), (1, 14, 27));
     }
 
     #[test]
-    fn unwrap_in_string_comment_and_tests_is_silent() {
+    fn collect_trace_in_string_comment_and_tests_is_silent() {
         let src = "\
-// describing .unwrap() here is fine\n\
-fn f() { log(\"never .unwrap() in prod\"); }\n\
-#[cfg(test)]\nmod tests {\n    fn g() { v.unwrap(); }\n}\n";
+// describing collect_trace( here is fine\n\
+fn f() { log(\"never collect_trace() in prod\"); }\n\
+#[cfg(test)]\nmod tests {\n    fn g() { v.collect_trace(); }\n}\n";
         assert!(scan_src(src, false, false).is_empty());
     }
 
@@ -407,23 +373,20 @@ fn f() { log(\"never .unwrap() in prod\"); }\n\
 
     #[test]
     fn lib_header_attrs_must_be_real_tokens() {
-        let good = "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n";
+        let good = "#![warn(missing_docs)]\n";
         let toks = lex(good);
-        assert!(check_lib_header(good, &toks, "crates/x/src/lib.rs").is_empty());
+        assert!(check_lib_header(good, &toks, "crates/x/src/lib.rs").is_none());
 
-        let fake = "//! mentions #![forbid(unsafe_code)] and #![warn(missing_docs)] in docs\n";
+        let fake = "//! mentions #![warn(missing_docs)] in docs\n";
         let toks = lex(fake);
         let f = check_lib_header(fake, &toks, "crates/x/src/lib.rs");
-        assert_eq!(
-            codes_of(&f),
-            vec![codes::MISSING_FORBID_UNSAFE, codes::MISSING_DOCS_LINT]
-        );
+        assert_eq!(f.map(|f| f.code), Some(codes::MISSING_DOCS_LINT));
     }
 
     #[test]
     fn deny_missing_docs_also_satisfies() {
-        let src = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n";
+        let src = "#![deny(missing_docs)]\n";
         let toks = lex(src);
-        assert!(check_lib_header(src, &toks, "crates/x/src/lib.rs").is_empty());
+        assert!(check_lib_header(src, &toks, "crates/x/src/lib.rs").is_none());
     }
 }

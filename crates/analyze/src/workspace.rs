@@ -110,17 +110,8 @@ pub fn analyze_workspace(root: &Path, config: &AnalyzerConfig) -> Result<Analysi
     let root_manifest = fs::read_to_string(root.join("Cargo.toml"))
         .map_err(|e| format!("cannot read {}: {e}", root.join("Cargo.toml").display()))?;
 
-    let mut findings = Vec::new();
-    if !root_manifest.contains("[workspace.lints") {
-        findings.push(Finding::file_scoped(
-            codes::WORKSPACE_LINTS,
-            Severity::Error,
-            "Cargo.toml",
-            "workspace manifest must declare the [workspace.lints] deny-list".to_string(),
-        ));
-    }
-
     let crates = discover(root, &root_manifest)?;
+    let mut findings = Vec::new();
 
     // Manifest opt-ins and per-file source rules.
     for c in &crates {

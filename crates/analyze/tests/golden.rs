@@ -161,7 +161,7 @@ fn every_code_is_reproduced_by_some_fixture() {
 
     let missing: Vec<&str> = commorder_analyze::codes::CODE_TABLE
         .iter()
-        .map(|info| info.code)
+        .copied()
         .filter(|code| !seen.contains(*code))
         .collect();
     assert!(missing.is_empty(), "codes without a fixture: {missing:?}");

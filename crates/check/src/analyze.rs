@@ -338,8 +338,8 @@ mod tests {
         format!(
             concat!(
                 "{{\n  \"errors\": 1,\n  \"warnings\": 0,\n  \"findings\": [\n",
-                "    {{\"code\":\"XT0002\",\"severity\":\"error\",\"file\":\"crates/a/src/lib.rs\",",
-                "\"line\":3,\"col_start\":5,\"col_end\":11,\"message\":\"unwrap() in library code\"}}\n",
+                "    {{\"code\":\"XT0007\",\"severity\":\"error\",\"file\":\"crates/a/src/lib.rs\",",
+                "\"line\":3,\"col_start\":5,\"col_end\":11,\"message\":\"collect_trace( outside the trace shims\"}}\n",
                 "  ],\n{SECTION}}}\n"
             ),
             SECTION = SECTION
@@ -386,7 +386,7 @@ mod tests {
     #[test]
     fn bad_code_severity_and_columns_are_flagged() {
         let stream = one_finding()
-            .replace("XT0002", "CHK002")
+            .replace("XT0007", "CHK007")
             .replace("\"severity\":\"error\"", "\"severity\":\"fatal\"")
             .replace("\"col_end\":11", "\"col_end\":2");
         let diags = check_analyze_report(&stream);

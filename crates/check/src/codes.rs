@@ -2,7 +2,8 @@
 //!
 //! Codes are grouped by hundreds per checked domain and are **append
 //! only**: a published code never changes meaning, so golden files and
-//! downstream tooling can match on them forever.
+//! downstream tooling can match on them forever. A retired code (such
+//! as `CHK1102`/`CHK1103`) is deleted from the table and never reused.
 //!
 //! | Range   | Domain                                  |
 //! |---------|-----------------------------------------|
@@ -18,15 +19,6 @@
 //! | CHK10xx | Streaming trace sources and next-use    |
 //! | CHK11xx | Analyzer (`XT`) findings reports        |
 //! | CHK12xx | Bench artifacts and profile invariants  |
-
-/// One row of the code table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodeInfo {
-    /// The stable code, e.g. `CHK0101`.
-    pub code: &'static str,
-    /// One-line description of what the code means.
-    pub title: &'static str,
-}
 
 /// Offsets array has the wrong length (`n + 1` expected).
 pub const OFFSETS_LENGTH: &str = "CHK0101";
@@ -148,206 +140,56 @@ pub const SELF_TIME: &str = "CHK1203";
 /// total, quantiles are non-monotone, or min/max are inconsistent.
 pub const HIST_SHAPE: &str = "CHK1204";
 
-/// Every published code with its meaning, in code order.
-pub const CODE_TABLE: &[CodeInfo] = &[
-    CodeInfo {
-        code: OFFSETS_LENGTH,
-        title: "offsets array has the wrong length",
-    },
-    CodeInfo {
-        code: OFFSETS_START,
-        title: "offsets array does not start at zero",
-    },
-    CodeInfo {
-        code: OFFSETS_MONOTONE,
-        title: "offsets array is not non-decreasing",
-    },
-    CodeInfo {
-        code: OFFSETS_LAST,
-        title: "last offset disagrees with nnz",
-    },
-    CodeInfo {
-        code: INDEX_BOUNDS,
-        title: "index exceeds the matrix dimension",
-    },
-    CodeInfo {
-        code: INDEX_SORTED,
-        title: "indices within a row are not strictly increasing",
-    },
-    CodeInfo {
-        code: VALUES_LENGTH,
-        title: "values length disagrees with index length",
-    },
-    CodeInfo {
-        code: VALUE_NONFINITE,
-        title: "stored value is NaN or infinite",
-    },
-    CodeInfo {
-        code: COO_ROW_BOUNDS,
-        title: "COO row index out of bounds",
-    },
-    CodeInfo {
-        code: COO_COL_BOUNDS,
-        title: "COO column index out of bounds",
-    },
-    CodeInfo {
-        code: COO_VALUE_NONFINITE,
-        title: "COO value is NaN or infinite",
-    },
-    CodeInfo {
-        code: COO_DUPLICATE,
-        title: "duplicate COO coordinate",
-    },
-    CodeInfo {
-        code: ELL_STORAGE,
-        title: "ELL storage length mismatch",
-    },
-    CodeInfo {
-        code: ELL_COL_BOUNDS,
-        title: "ELL column index out of bounds",
-    },
-    CodeInfo {
-        code: SELL_SLICES,
-        title: "SELL slice descriptors inconsistent",
-    },
-    CodeInfo {
-        code: PERM_RANGE,
-        title: "permutation entry out of range",
-    },
-    CodeInfo {
-        code: PERM_DUPLICATE,
-        title: "permutation target id duplicated",
-    },
-    CodeInfo {
-        code: PERM_LENGTH,
-        title: "permutation length mismatch",
-    },
-    CodeInfo {
-        code: COMM_TOTAL,
-        title: "community assignment is not total",
-    },
-    CodeInfo {
-        code: COMM_RANGE,
-        title: "community id out of declared range",
-    },
-    CodeInfo {
-        code: COMM_EMPTY,
-        title: "declared community has no members",
-    },
-    CodeInfo {
-        code: TRACE_ALIGN,
-        title: "trace access not element-aligned",
-    },
-    CodeInfo {
-        code: TRACE_SECTOR,
-        title: "trace access straddles a sector boundary",
-    },
-    CodeInfo {
-        code: TRACE_BOUNDS,
-        title: "trace access beyond the address-space bound",
-    },
-    CodeInfo {
-        code: TRACE_EMPTY,
-        title: "empty trace for a non-empty matrix",
-    },
-    CodeInfo {
-        code: CACHE_ZERO,
-        title: "cache geometry field is zero",
-    },
-    CodeInfo {
-        code: CACHE_RAGGED,
-        title: "cache capacity is not a whole number of sets",
-    },
-    CodeInfo {
-        code: CACHE_LINE_POW2,
-        title: "cache line size is not a power of two",
-    },
-    CodeInfo {
-        code: GPU_CONSTANTS,
-        title: "GPU constant is not positive and finite",
-    },
-    CodeInfo {
-        code: GPU_BANDWIDTH_ORDER,
-        title: "measured bandwidth exceeds peak",
-    },
-    CodeInfo {
-        code: GPU_PENALTY_RANGE,
-        title: "fine-grain penalty outside calibrated range",
-    },
-    CodeInfo {
-        code: GPU_L2_CAPACITY,
-        title: "L2 capacity exceeds memory capacity",
-    },
-    CodeInfo {
-        code: TELEM_PARSE,
-        title: "telemetry line is not a flat JSON object",
-    },
-    CodeInfo {
-        code: TELEM_FIELD,
-        title: "telemetry event field missing or mistyped",
-    },
-    CodeInfo {
-        code: TELEM_TYPE,
-        title: "unknown telemetry event type",
-    },
-    CodeInfo {
-        code: TELEM_VALUE,
-        title: "telemetry value negative or non-finite",
-    },
-    CodeInfo {
-        code: TELEM_NESTING,
-        title: "span nesting or end-order violated",
-    },
-    CodeInfo {
-        code: TELEM_METRIC,
-        title: "metric name undeclared or kind mismatch",
-    },
-    CodeInfo {
-        code: TELEM_PATH,
-        title: "span path/depth/name inconsistent",
-    },
-    CodeInfo {
-        code: STREAM_MISMATCH,
-        title: "replayed access disagrees with collected trace",
-    },
-    CodeInfo {
-        code: STREAM_LENGTH,
-        title: "replayed stream length or len_hint mismatch",
-    },
-    CodeInfo {
-        code: NEXT_USE,
-        title: "next-use array inconsistent with its trace",
-    },
-    CodeInfo {
-        code: ANALYZE_SCHEMA,
-        title: "analyzer findings report violates the schema",
-    },
-    CodeInfo {
-        code: BENCH_SCHEMA,
-        title: "bench artifact violates the commorder-bench schema",
-    },
-    CodeInfo {
-        code: BENCH_METRIC,
-        title: "bench metric row is invalid",
-    },
-    CodeInfo {
-        code: SELF_TIME,
-        title: "children's inclusive time exceeds their parent's",
-    },
-    CodeInfo {
-        code: HIST_SHAPE,
-        title: "histogram shape invariant violated",
-    },
+/// Every live code, in code order.
+pub const CODE_TABLE: &[&str] = &[
+    OFFSETS_LENGTH,
+    OFFSETS_START,
+    OFFSETS_MONOTONE,
+    OFFSETS_LAST,
+    INDEX_BOUNDS,
+    INDEX_SORTED,
+    VALUES_LENGTH,
+    VALUE_NONFINITE,
+    COO_ROW_BOUNDS,
+    COO_COL_BOUNDS,
+    COO_VALUE_NONFINITE,
+    COO_DUPLICATE,
+    ELL_STORAGE,
+    ELL_COL_BOUNDS,
+    SELL_SLICES,
+    PERM_RANGE,
+    PERM_DUPLICATE,
+    PERM_LENGTH,
+    COMM_TOTAL,
+    COMM_RANGE,
+    COMM_EMPTY,
+    TRACE_ALIGN,
+    TRACE_SECTOR,
+    TRACE_BOUNDS,
+    TRACE_EMPTY,
+    CACHE_ZERO,
+    CACHE_RAGGED,
+    CACHE_LINE_POW2,
+    GPU_CONSTANTS,
+    GPU_BANDWIDTH_ORDER,
+    GPU_PENALTY_RANGE,
+    GPU_L2_CAPACITY,
+    TELEM_PARSE,
+    TELEM_FIELD,
+    TELEM_TYPE,
+    TELEM_VALUE,
+    TELEM_NESTING,
+    TELEM_METRIC,
+    TELEM_PATH,
+    STREAM_MISMATCH,
+    STREAM_LENGTH,
+    NEXT_USE,
+    ANALYZE_SCHEMA,
+    BENCH_SCHEMA,
+    BENCH_METRIC,
+    SELF_TIME,
+    HIST_SHAPE,
 ];
-
-/// Looks up the description of a code; `None` for unknown codes.
-#[must_use]
-pub fn describe(code: &str) -> Option<&'static str> {
-    CODE_TABLE
-        .iter()
-        .find(|info| info.code == code)
-        .map(|info| info.title)
-}
 
 #[cfg(test)]
 mod tests {
@@ -356,22 +198,12 @@ mod tests {
     #[test]
     fn codes_are_unique_sorted_and_well_formed() {
         for w in CODE_TABLE.windows(2) {
-            assert!(w[0].code < w[1].code, "{} !< {}", w[0].code, w[1].code);
+            assert!(w[0] < w[1], "{} !< {}", w[0], w[1]);
         }
-        for info in CODE_TABLE {
-            assert_eq!(info.code.len(), 7, "{}", info.code);
-            assert!(info.code.starts_with("CHK"), "{}", info.code);
-            assert!(info.code[3..].chars().all(|c| c.is_ascii_digit()));
-            assert!(!info.title.is_empty());
+        for code in CODE_TABLE {
+            assert_eq!(code.len(), 7, "{code}");
+            assert!(code.starts_with("CHK"), "{code}");
+            assert!(code[3..].chars().all(|c| c.is_ascii_digit()));
         }
-    }
-
-    #[test]
-    fn describe_known_and_unknown() {
-        assert_eq!(
-            describe(OFFSETS_MONOTONE),
-            Some("offsets array is not non-decreasing")
-        );
-        assert_eq!(describe("CHK9999"), None);
     }
 }
