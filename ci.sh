@@ -62,6 +62,15 @@ COMMORDER_CORPUS=mini COMMORDER_MAX_MATRICES=3 \
 test -s /tmp/commorder-suite-smoke.json
 test -s /tmp/commorder-suite-smoke.jsonl
 
+echo "== suite smoke (--threads 1) writes the byte-identical report"
+# Neither the queue order nor the RABBIT family's shared detection may
+# reach a result.
+COMMORDER_CORPUS=mini COMMORDER_MAX_MATRICES=3 \
+  cargo run --release -q -p commorder --bin commorder-cli -- \
+  suite --threads 1 --corpus mini --max-matrices 3 \
+  --json /tmp/commorder-suite-smoke-t1.json
+cmp /tmp/commorder-suite-smoke.json /tmp/commorder-suite-smoke-t1.json
+
 echo "== telemetry stream validates (CHK09xx)"
 cargo run --release -q -p commorder --bin commorder-cli -- \
   check /tmp/commorder-suite-smoke.jsonl

@@ -5,10 +5,13 @@
 //! (matrix × technique × kernel × model × policy) evaluations. An
 //! [`ExperimentSpec`] names that grid once; [`ExperimentSpec::run`] fans
 //! it across a [`commorder_exec::Engine`]'s workers — one job per
-//! (matrix, technique) pair, so each permutation is computed exactly
-//! once and reused by every kernel/model/policy cell — and returns an
-//! [`ExperimentResult`] whose record order is the deterministic nested
-//! grid order regardless of thread count.
+//! (matrix, technique) pair, except that a matrix's RABBIT-family
+//! techniques share one job that detects communities once and derives
+//! each of them from the result. Each permutation is computed exactly
+//! once and reused by every kernel/model/policy cell. Jobs are
+//! submitted largest matrix first, and the returned [`ExperimentResult`]
+//! keeps the deterministic nested grid order regardless of thread count
+//! or submission order.
 //!
 //! Determinism guarantee: all simulated quantities (traffic, counters,
 //! ratios, permutations) are pure functions of the spec, so
@@ -37,14 +40,16 @@
 //! # }
 //! ```
 
+use std::cmp::Reverse;
 use std::time::Instant;
 
 use commorder_cachesim::trace::ExecutionModel;
-use commorder_exec::{Engine, EngineStats};
+use commorder_exec::{Engine, EngineStats, JobTiming};
 use commorder_gpumodel::GpuSpec;
 use commorder_obs as obs;
 use commorder_obs::event::{json_f64, json_string};
-use commorder_reorder::{ReorderContext, Reordering};
+use commorder_reorder::community::DetectionConfig;
+use commorder_reorder::{Rabbit, ReorderContext, Reordering};
 use commorder_sparse::traffic::Kernel;
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 
@@ -224,9 +229,12 @@ impl ExperimentSpec {
         Ok(pipelines)
     }
 
-    /// Runs the whole grid on `engine` — one job per (matrix, technique)
-    /// pair, each computing the permutation once and simulating every
-    /// kernel/model/policy cell on the reordered matrix.
+    /// Runs the whole grid on `engine`: one job per (matrix, technique),
+    /// except that a matrix's techniques with equal
+    /// [`Reordering::detection`] share one job, which detects once and
+    /// derives each of them. Every job computes each permutation once and
+    /// simulates every kernel/model/policy cell on the reordered matrix.
+    /// Jobs are submitted largest matrix first.
     ///
     /// # Errors
     ///
@@ -236,101 +244,47 @@ impl ExperimentSpec {
     pub fn run(&self, engine: &Engine) -> Result<ExperimentResult, SparseError> {
         self.validate()?;
         let pipelines = self.pipelines()?;
+        let jobs = self.jobs();
+        let (outputs, stats) = engine.run_with_stats(jobs.iter().collect(), |_, job| {
+            self.run_job(engine, &pipelines, job)
+        });
 
-        struct JobValue {
-            permutation: Permutation,
-            reorder_seconds: f64,
-            cells: Vec<(KernelRun, f64)>,
-        }
-
-        let mut jobs = Vec::with_capacity(self.matrices.len() * self.techniques.len());
-        for mi in 0..self.matrices.len() {
-            for ti in 0..self.techniques.len() {
-                jobs.push((mi, ti));
-            }
-        }
-        let (outputs, stats) =
-            engine.run_with_stats(jobs, |_, (mi, ti)| -> Result<JobValue, SparseError> {
-                let matrix = &self.matrices[mi].matrix;
-                let technique = self.techniques[ti].as_ref();
-                let _job_span = obs::span!(
-                    "grid.job",
-                    "{}/{}",
-                    self.matrices[mi].name,
-                    technique.name()
-                );
-                // Timed on the worker, after dequeue: queue wait is in
-                // JobTiming.queue_seconds, never in reorder_seconds.
-                let started = Instant::now();
-                let permutation = {
-                    let _span = obs::span!("grid.reorder", "{}", technique.name());
-                    // The technique gets the grid's engine through the
-                    // context; the permutation is thread-count-invariant.
-                    technique
-                        .reorder_with(matrix, &ReorderContext::new(engine, self.reorder_seed))?
-                };
-                let reorder_seconds = started.elapsed().as_secs_f64();
-                let reordered = {
-                    let _span = obs::span!("grid.permute");
-                    matrix.permute_symmetric(&permutation)?
-                };
-                let mut cells = Vec::with_capacity(pipelines.len());
-                for pipeline in &pipelines {
-                    let sim_started = Instant::now();
-                    let run = {
-                        let _span = obs::span!(
-                            "grid.cell",
-                            "{}/{}",
-                            self.matrices[mi].name,
-                            technique.name()
-                        );
-                        pipeline.simulate(&reordered)
-                    };
-                    obs::counter!("grid.cells", 1);
-                    cells.push((run, sim_started.elapsed().as_secs_f64()));
-                }
-                Ok(JobValue {
-                    permutation,
-                    reorder_seconds,
-                    cells,
-                })
-            });
-
-        let mut records = Vec::with_capacity(self.grid_len());
-        let mut permutations: Vec<Vec<Permutation>> = Vec::with_capacity(self.matrices.len());
+        // Results come back in submission order; sort each technique's
+        // value to its grid index. Every grid cell belongs to exactly one
+        // job, so the indices are unique and complete.
         let n_techniques = self.techniques.len();
-        let mut job_values = Vec::with_capacity(outputs.len());
-        for output in outputs {
-            job_values.push((output.value?, output.timing));
-        }
-        for (mi, _) in self.matrices.iter().enumerate() {
-            let mut row = Vec::with_capacity(n_techniques);
-            for ti in 0..n_techniques {
-                let (value, timing) = &job_values[mi * n_techniques + ti];
-                row.push(value.permutation.clone());
-                let mut cell = 0usize;
-                for (ki, _) in self.kernels.iter().enumerate() {
-                    for (moi, _) in self.models.iter().enumerate() {
-                        for (pi, _) in self.policies.iter().enumerate() {
-                            let (run, sim_seconds) = &value.cells[cell];
-                            records.push(RunRecord {
-                                matrix: mi,
-                                technique: ti,
-                                kernel: ki,
-                                model: moi,
-                                policy: pi,
-                                run: run.clone(),
-                                reorder_seconds: value.reorder_seconds,
-                                sim_seconds: *sim_seconds,
-                                queue_seconds: timing.queue_seconds,
-                                worker: timing.worker,
-                            });
-                            cell += 1;
-                        }
-                    }
-                }
+        let mut placed: Vec<(usize, TechniqueValue, JobTiming)> =
+            Vec::with_capacity(self.matrices.len() * n_techniques);
+        for (job, output) in jobs.iter().zip(outputs) {
+            for (&ti, value) in job.techniques.iter().zip(output.value?) {
+                placed.push((job.matrix * n_techniques + ti, value, output.timing));
             }
-            permutations.push(row);
+        }
+        placed.sort_unstable_by_key(|&(index, ..)| index);
+
+        let (n_models, n_policies) = (self.models.len(), self.policies.len());
+        let mut records = Vec::with_capacity(self.grid_len());
+        let mut permutations: Vec<Vec<Permutation>> = (0..self.matrices.len())
+            .map(|_| Vec::with_capacity(n_techniques))
+            .collect();
+        for (index, value, timing) in placed {
+            let (mi, ti) = (index / n_techniques, index % n_techniques);
+            // Cells follow the pipelines: kernel, then model, then policy.
+            for (cell, (run, sim_seconds)) in value.cells.into_iter().enumerate() {
+                records.push(RunRecord {
+                    matrix: mi,
+                    technique: ti,
+                    kernel: cell / (n_models * n_policies),
+                    model: cell / n_policies % n_models,
+                    policy: cell % n_policies,
+                    run,
+                    reorder_seconds: value.reorder_seconds,
+                    sim_seconds,
+                    queue_seconds: timing.queue_seconds,
+                    worker: timing.worker,
+                });
+            }
+            permutations[mi].push(value.permutation);
         }
 
         Ok(ExperimentResult {
@@ -353,6 +307,129 @@ impl ExperimentSpec {
             stats,
         })
     }
+
+    /// The grid cut into engine jobs, in submission order.
+    ///
+    /// Each matrix gets one job per technique, except that its
+    /// RABBIT-family techniques with equal [`Reordering::detection`]
+    /// share one job: that job detects once and derives each of them
+    /// from the result. Jobs are submitted largest matrix (by `nnz`)
+    /// first, so the longest jobs start while other work is left to
+    /// balance them; the sort is stable, so a matrix's jobs keep spec
+    /// order.
+    fn jobs(&self) -> Vec<GridJob> {
+        let mut jobs: Vec<GridJob> = Vec::new();
+        for matrix in 0..self.matrices.len() {
+            let first = jobs.len();
+            for (technique, t) in self.techniques.iter().enumerate() {
+                let detection = t.detection();
+                let family = jobs[first..]
+                    .iter_mut()
+                    .find(|job| detection.is_some() && job.detection == detection);
+                match family {
+                    Some(job) => job.techniques.push(technique),
+                    None => jobs.push(GridJob {
+                        matrix,
+                        techniques: vec![technique],
+                        detection,
+                    }),
+                }
+            }
+        }
+        jobs.sort_by_key(|job| Reverse(self.matrices[job.matrix].matrix.nnz()));
+        jobs
+    }
+
+    /// One job's body: the shared detection, if any, then for each of
+    /// its techniques in spec order: reorder (or derive), permute and
+    /// simulate every cell. Each permuted copy is dropped before the
+    /// next technique starts.
+    fn run_job(
+        &self,
+        engine: &Engine,
+        pipelines: &[Pipeline],
+        job: &GridJob,
+    ) -> Result<Vec<TechniqueValue>, SparseError> {
+        let named = &self.matrices[job.matrix];
+        let matrix = &named.matrix;
+        let _job_span = obs::span!("grid.job", "{}/{}", named.name, self.job_label(job));
+        // Timed on the worker, after dequeue: queue wait is in
+        // JobTiming.queue_seconds, never in reorder_seconds.
+        let started = Instant::now();
+        let detection = match job.detection {
+            Some(detection) => {
+                let _span = obs::span!("grid.detect", "{}", named.name);
+                Some(Rabbit { detection }.run(matrix)?)
+            }
+            None => None,
+        };
+        let detect_seconds = started.elapsed().as_secs_f64();
+        // The technique gets the grid's engine through the context; the
+        // permutation is thread-count-invariant.
+        let cx = ReorderContext::new(engine, self.reorder_seed);
+        job.techniques
+            .iter()
+            .map(|&ti| {
+                let technique = self.techniques[ti].as_ref();
+                let started = Instant::now();
+                let permutation = {
+                    let _span = obs::span!("grid.reorder", "{}", technique.name());
+                    match &detection {
+                        Some(detection) => technique.derive(matrix, detection)?,
+                        None => technique.reorder_with(matrix, &cx)?,
+                    }
+                };
+                let reorder_seconds = detect_seconds + started.elapsed().as_secs_f64();
+                let reordered = {
+                    let _span = obs::span!("grid.permute");
+                    matrix.permute_symmetric(&permutation)?
+                };
+                let cells = pipelines
+                    .iter()
+                    .map(|pipeline| {
+                        let sim_started = Instant::now();
+                        let run = {
+                            let _span =
+                                obs::span!("grid.cell", "{}/{}", named.name, technique.name());
+                            pipeline.simulate(&reordered)
+                        };
+                        obs::counter!("grid.cells", 1);
+                        (run, sim_started.elapsed().as_secs_f64())
+                    })
+                    .collect();
+                Ok(TechniqueValue {
+                    permutation,
+                    reorder_seconds,
+                    cells,
+                })
+            })
+            .collect()
+    }
+
+    /// `grid.job` span label: the job's technique names joined by `+`.
+    fn job_label(&self, job: &GridJob) -> String {
+        job.techniques
+            .iter()
+            .map(|&ti| self.techniques[ti].name())
+            .collect::<Vec<_>>()
+            .join("+")
+    }
+}
+
+/// One engine job: a matrix and the techniques it runs, in spec order.
+/// With a detection, every technique derives from one shared run of it.
+struct GridJob {
+    matrix: usize,
+    techniques: Vec<usize>,
+    detection: Option<DetectionConfig>,
+}
+
+/// What one technique of a job produced.
+struct TechniqueValue {
+    permutation: Permutation,
+    reorder_seconds: f64,
+    /// `(run, sim_seconds)` per pipeline, in pipeline order.
+    cells: Vec<(KernelRun, f64)>,
 }
 
 /// One grid cell's measurements. Axis fields are indices into the
@@ -373,7 +450,10 @@ pub struct RunRecord {
     pub run: KernelRun,
     /// Wall-clock seconds the reordering took on its worker (§VI-C),
     /// measured inside the job after dequeue — queue wait excluded.
-    /// Shared by every cell of the same (matrix, technique) job.
+    /// Shared by every cell of the same (matrix, technique). A technique
+    /// derived from a shared detection carries that detection's seconds
+    /// plus its own derivation seconds, so every record still prices
+    /// its technique as a standalone run would (§VI-C, Fig. 9).
     pub reorder_seconds: f64,
     /// Wall-clock seconds this cell's simulation took on its worker.
     pub sim_seconds: f64,
@@ -404,7 +484,7 @@ pub struct ExperimentResult {
     /// `permutations[matrix][technique]` — each technique's output,
     /// available for follow-up analyses (locality scores, spy plots).
     pub permutations: Vec<Vec<Permutation>>,
-    /// Engine counters for the run (threads, steals, utilization).
+    /// Engine counters for the run (threads, busy seconds, utilization).
     pub stats: EngineStats,
 }
 
@@ -587,6 +667,27 @@ mod tests {
         assert_eq!(result.matrices[1].1, "synthetic");
         assert_eq!(result.permutations.len(), 2);
         assert_eq!(result.permutations[0].len(), 2);
+    }
+
+    #[test]
+    fn records_carry_their_axis_indices() {
+        let spec = ExperimentSpec::new(GpuSpec::test_scale())
+            .matrix("a", small_matrix(1))
+            .matrix("b", small_matrix(2))
+            .technique(Box::new(Original))
+            .technique(Box::new(Rabbit::new()))
+            .kernels(vec![Kernel::SpmvCsr, Kernel::SpmvCoo])
+            .models(vec![
+                ExecutionModel::Sequential,
+                ExecutionModel::Interleaved { streams: 4 },
+            ])
+            .policies(vec![ReplacementPolicy::Lru, ReplacementPolicy::Belady]);
+        let result = spec.run(&Engine::new(2)).unwrap();
+        assert_eq!(result.records.len(), 32);
+        for r in &result.records {
+            let at = result.record(r.matrix, r.technique, r.kernel, r.model, r.policy);
+            assert_eq!(at, r);
+        }
     }
 
     #[test]

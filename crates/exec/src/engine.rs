@@ -1,7 +1,6 @@
-//! The work-stealing engine: per-worker deques, back-stealing, stable
-//! result ordering and per-job timing.
+//! The engine: one shared FIFO job queue, stable result ordering and
+//! per-job timing.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -19,8 +18,6 @@ pub struct JobTiming {
     pub exec_seconds: f64,
     /// Index of the worker that executed the job.
     pub worker: usize,
-    /// `true` when the job was stolen from another worker's queue.
-    pub stolen: bool,
 }
 
 /// A job's return value together with its scheduling record.
@@ -50,7 +47,9 @@ pub struct EngineStats {
     pub threads: usize,
     /// Jobs executed.
     pub jobs: usize,
-    /// Jobs that ran on a worker other than the one they were queued on.
+    /// Always 0: every worker pops from one shared queue, so no job is
+    /// ever stolen. Kept only because the repository benchmark still
+    /// reads it; it goes with the next change to that benchmark.
     pub steals: u64,
     /// Wall-clock seconds from submission to the last job completing.
     pub wall_seconds: f64,
@@ -80,20 +79,14 @@ impl EngineStats {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "{} jobs on {} workers in {:.2}s (busy {:.2}s, utilization {:.0}%, {} steals)",
+            "{} jobs on {} workers in {:.2}s (busy {:.2}s, utilization {:.0}%)",
             self.jobs,
             self.threads,
             self.wall_seconds,
             self.busy_seconds,
             self.utilization() * 100.0,
-            self.steals
         )
     }
-}
-
-struct Job<T> {
-    index: usize,
-    item: T,
 }
 
 /// A fixed-width pool of worker threads for embarrassingly parallel
@@ -234,82 +227,44 @@ impl Engine {
         let threads = self.threads.min(n_jobs).max(1);
         let submitted = Instant::now();
 
-        // All jobs are enqueued before any worker starts; round-robin
-        // keeps neighbouring (similar-cost) grid cells on different
-        // workers.
-        let queues: Vec<Mutex<VecDeque<Job<T>>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (index, item) in items.into_iter().enumerate() {
-            queues[index % threads]
-                .lock()
-                .expect("fresh queue cannot be poisoned")
-                .push_back(Job { index, item });
-        }
-
-        let steal_count = AtomicU64::new(0);
+        // One FIFO shared by every worker. The job set is fixed before
+        // any worker starts, so a worker that finds the queue empty can
+        // exit: nothing is ever enqueued later. A free worker always
+        // takes the oldest job, so submission order is the schedule.
+        let queue = Mutex::new(items.into_iter().enumerate());
         let per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
         let (sender, receiver) = mpsc::channel::<(usize, Result<JobOutput<R>, JobFailure>)>();
 
         std::thread::scope(|scope| {
             for worker in 0..threads {
                 let sender = sender.clone();
-                let queues = &queues;
+                let queue = &queue;
                 let f = &f;
-                let steal_count = &steal_count;
                 let per_worker = &per_worker;
                 scope.spawn(move || loop {
-                    let own = queues[worker]
+                    let next = queue
                         .lock()
-                        .expect("no worker panics while holding a queue lock")
-                        .pop_front();
-                    let (job, stolen) = match own {
-                        Some(job) => (job, false),
-                        None => {
-                            // Steal from the back of the first non-empty
-                            // sibling queue; a full empty scan means the
-                            // batch is drained (nothing is ever re-queued).
-                            let mut stolen_job = None;
-                            for offset in 1..threads {
-                                let victim = (worker + offset) % threads;
-                                if let Some(job) = queues[victim]
-                                    .lock()
-                                    .expect("no worker panics while holding a queue lock")
-                                    .pop_back()
-                                {
-                                    stolen_job = Some(job);
-                                    break;
-                                }
-                            }
-                            match stolen_job {
-                                Some(job) => (job, true),
-                                None => break,
-                            }
-                        }
+                        .expect("no worker panics while holding the queue lock")
+                        .next();
+                    let Some((index, item)) = next else {
+                        break;
                     };
-                    if stolen {
-                        steal_count.fetch_add(1, Ordering::Relaxed);
-                    }
                     per_worker[worker].fetch_add(1, Ordering::Relaxed);
                     let started = Instant::now();
                     // Contain job panics at this boundary: a panicking
-                    // job must not kill its worker (the queues would
+                    // job must not kill its worker (the queue would
                     // strand) or poison the batch for its siblings.
-                    let index = job.index;
                     let result = {
                         let _span = obs::span!("exec.job", "job={}", index);
-                        catch_unwind(AssertUnwindSafe(|| f(index, job.item)))
+                        catch_unwind(AssertUnwindSafe(|| f(index, item)))
                     };
                     let timing = JobTiming {
                         queue_seconds: started.duration_since(submitted).as_secs_f64(),
                         exec_seconds: started.elapsed().as_secs_f64(),
                         worker,
-                        stolen,
                     };
                     if obs::enabled() {
                         obs::counter!("exec.jobs", 1);
-                        if stolen {
-                            obs::counter!("exec.steals", 1);
-                        }
                         obs::observe!("exec.queue_wait_seconds", timing.queue_seconds);
                     }
                     let outcome = match result {
@@ -349,7 +304,7 @@ impl Engine {
         let stats = EngineStats {
             threads,
             jobs: n_jobs,
-            steals: steal_count.load(Ordering::Relaxed),
+            steals: 0,
             wall_seconds: submitted.elapsed().as_secs_f64(),
             per_worker_jobs: per_worker
                 .iter()
@@ -378,6 +333,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     #[test]
     fn outputs_follow_submission_order() {
@@ -453,25 +410,33 @@ mod tests {
     }
 
     #[test]
-    fn uneven_jobs_get_stolen() {
-        // Worker 0 receives one huge job (round-robin index 0); the other
-        // workers must steal its queued siblings.  With 2 workers and a
-        // heavily skewed first job, at least one steal is all but
-        // guaranteed; assert the batch completes correctly either way.
+    fn a_blocked_worker_leaves_every_other_job_to_its_sibling() {
+        // Job 0 holds its worker until the other n - 1 jobs have
+        // finished, so the second worker must take every one of them off
+        // the shared queue. The wait is bounded: a timeout fails the
+        // test instead of hanging it.
+        let n = 16usize;
+        let finished = (Mutex::new(0usize), Condvar::new());
         let engine = Engine::new(2);
-        let items: Vec<u64> = (0..16).collect();
-        let (outputs, stats) = engine.run_with_stats(items, |_, x| {
-            let spins = if x == 0 { 3_000_000u64 } else { 1_000 };
-            let mut acc = 0u64;
-            for i in 0..spins {
-                acc = acc.wrapping_add(i ^ x);
+        let (outputs, stats) = engine.run_with_stats((0..n).collect(), |_, job| {
+            let (count, changed) = &finished;
+            if job == 0 {
+                let guard = count.lock().unwrap();
+                let (_guard, wait) = changed
+                    .wait_timeout_while(guard, Duration::from_secs(60), |done| *done < n - 1)
+                    .unwrap();
+                !wait.timed_out()
+            } else {
+                *count.lock().unwrap() += 1;
+                changed.notify_all();
+                true
             }
-            acc
         });
-        assert_eq!(outputs.len(), 16);
-        assert_eq!(stats.per_worker_jobs.iter().sum::<u64>(), 16);
-        let stolen_flags = outputs.iter().filter(|o| o.timing.stolen).count() as u64;
-        assert_eq!(stolen_flags, stats.steals);
+        assert!(outputs[0].value, "job 0 timed out waiting for its siblings");
+        let mut per_worker = stats.per_worker_jobs.clone();
+        per_worker.sort_unstable();
+        assert_eq!(per_worker, vec![1, n as u64 - 1]);
+        assert_eq!(stats.steals, 0);
     }
 
     #[test]

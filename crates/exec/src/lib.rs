@@ -1,4 +1,4 @@
-//! `commorder-exec` — a deterministic work-stealing execution engine for
+//! `commorder-exec` — a deterministic one-queue execution engine for
 //! experiment grids.
 //!
 //! Every figure and table of the paper is a grid of independent
@@ -16,19 +16,19 @@
 //!   ([`JobTiming`]), so wall-clock measurements (e.g. reordering
 //!   pre-processing time, §VI-C of the paper) exclude scheduling noise.
 //! * **Engine counters** — [`EngineStats`] records per-worker job
-//!   counts, steal counts and the wall-clock of the whole batch, which
+//!   counts, busy seconds and the wall-clock of the whole batch, which
 //!   the experiment binaries print as a utilization summary.
 //!
 //! # Worker model
 //!
-//! Jobs are distributed round-robin into one double-ended queue per
-//! worker before any worker starts. Each worker pops from the *front* of
-//! its own queue; when its queue drains it scans the other queues and
-//! steals from the *back* (classic work-stealing, coarse-grained — jobs
-//! here are whole matrix evaluations, so a `Mutex<VecDeque>` per worker
-//! costs nothing measurable). When a full scan finds every queue empty
-//! the worker exits: no job is ever enqueued after the batch starts, so
-//! an empty scan is a correct termination proof.
+//! All jobs go into one shared FIFO before any worker starts. Each
+//! worker pops the front job whenever it is free, so jobs start in
+//! submission order and no worker idles while a job is queued. Jobs
+//! here are whole matrix evaluations, so one `Mutex` around the queue
+//! costs nothing measurable. A worker that finds the queue empty exits:
+//! no job is ever enqueued after the batch starts. The caller owns the
+//! schedule through the submission order; the experiment grid submits
+//! its largest matrices first, so the longest jobs never start last.
 //!
 //! # Example
 //!

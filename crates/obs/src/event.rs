@@ -201,11 +201,11 @@ mod tests {
     fn metric_events_encode() {
         assert_eq!(
             Event::Counter {
-                name: "exec.steals",
+                name: "exec.jobs",
                 delta: 7
             }
             .to_jsonl(),
-            "{\"type\":\"counter\",\"name\":\"exec.steals\",\"delta\":7}"
+            "{\"type\":\"counter\",\"name\":\"exec.jobs\",\"delta\":7}"
         );
         assert_eq!(
             Event::Gauge {

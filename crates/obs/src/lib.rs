@@ -246,12 +246,12 @@ mod tests {
         let b = Arc::new(Registry::new());
         let _ga = install(a.clone());
         let _gb = install(b.clone());
-        counter_add("exec.steals", 4);
-        assert_eq!(b.counter("exec.steals"), 4);
+        counter_add("exec.jobs", 4);
+        assert_eq!(b.counter("exec.jobs"), 4);
         assert!(a.events().iter().any(|e| matches!(
             e,
             Event::Counter {
-                name: "exec.steals",
+                name: "exec.jobs",
                 delta: 4
             }
         )));

@@ -3,8 +3,9 @@
 //! Counter/gauge/histogram names are declared here, once, so that the
 //! `CHK09xx` telemetry validators in `commorder-check` can flag typos
 //! and undeclared metrics in emitted JSONL streams, and so `profile`
-//! output can attach a one-line meaning to every number. The table is
-//! **append only**: a published name never changes meaning.
+//! output can attach a one-line meaning to every number. A published
+//! name never changes meaning: a retired metric loses its row, and its
+//! name is never reused.
 
 /// How a metric aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,12 +146,6 @@ pub const METRICS: &[MetricInfo] = &[
         help: "per-job seconds between batch submission and job start",
     },
     MetricInfo {
-        name: "exec.steals",
-        kind: MetricKind::Counter,
-        unit: "jobs",
-        help: "jobs stolen from a sibling worker's queue",
-    },
-    MetricInfo {
         name: "exec.utilization",
         kind: MetricKind::Gauge,
         unit: "ratio",
@@ -222,11 +217,15 @@ pub const SPANS: &[SpanInfo] = &[
     },
     SpanInfo {
         name: "exec.job",
-        help: "one job executed by the work-stealing engine",
+        help: "one job executed by the engine",
     },
     SpanInfo {
         name: "grid.cell",
         help: "one experiment-grid cell (matrix x technique x config)",
+    },
+    SpanInfo {
+        name: "grid.detect",
+        help: "the one community detection a grid job shares among the rabbit-family techniques of its matrix",
     },
     SpanInfo {
         name: "grid.job",
@@ -354,13 +353,13 @@ mod tests {
     #[test]
     fn lookup_known_and_unknown() {
         assert_eq!(
-            lookup("exec.steals").map(|i| i.kind),
+            lookup("exec.jobs").map(|i| i.kind),
             Some(MetricKind::Counter)
         );
         assert_eq!(
             lookup("exec.queue_wait_seconds").map(|i| i.kind),
             Some(MetricKind::Histogram)
         );
-        assert!(lookup("exec.stolen").is_none());
+        assert!(lookup("exec.steals").is_none());
     }
 }

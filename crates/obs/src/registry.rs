@@ -539,7 +539,7 @@ mod tests {
             value: 0.003,
         });
         assert_eq!(r.counter("exec.jobs"), 5);
-        assert_eq!(r.counter("exec.steals"), 0);
+        assert_eq!(r.counter("grid.cells"), 0);
         assert_eq!(r.gauge("exec.utilization"), Some(0.5));
         let h = r.histogram("exec.queue_wait_seconds").expect("observed");
         assert_eq!(h.count, 2);

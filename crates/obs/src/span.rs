@@ -6,7 +6,7 @@
 //! chain of its ancestors plus itself. The stack is thread-local — spans
 //! opened on a worker thread nest under that worker's spans, never under
 //! another thread's — which is exactly the execution structure the
-//! work-stealing engine produces (one `exec.job` root per job).
+//! engine produces (one `exec.job` root per job).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -3,7 +3,8 @@
 //! The context carries the caller's [`Engine`] (plus the run seed) down
 //! into a technique. No built-in technique reads it: every reorder phase
 //! is one serial loop, and the suite parallelizes *across* grid cells,
-//! one engine job per (matrix, technique). A technique that does fan work
+//! one engine job per (matrix, technique), or per matrix for the RABBIT
+//! family's shared detection. A technique that does fan work
 //! out on the engine must honour the determinism contract: the
 //! permutation it returns is a pure function of the matrix and its
 //! configuration, never of `engine.threads()`.

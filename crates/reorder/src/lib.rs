@@ -69,6 +69,8 @@ pub use slashburn::SlashBurn;
 
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 
+use crate::community::DetectionConfig;
+
 /// A vertex/row reordering technique.
 ///
 /// Implementations produce a [`Permutation`] mapping old IDs to new IDs;
@@ -94,7 +96,8 @@ pub trait Reordering: Send + Sync {
     /// any thread count. The default ignores the context and delegates to
     /// [`Reordering::reorder`]; no built-in technique overrides it, since
     /// every reorder phase is one serial loop and parallelism lives at
-    /// the grid level (one engine job per matrix and technique).
+    /// the grid level (one engine job per matrix and technique, or per
+    /// matrix and detection for the RABBIT family).
     ///
     /// # Errors
     ///
@@ -105,6 +108,35 @@ pub trait Reordering: Send + Sync {
         cx: &ReorderContext<'_>,
     ) -> Result<Permutation, SparseError> {
         let _ = cx;
+        self.reorder(a)
+    }
+
+    /// The community detection this technique's order derives from:
+    /// `Some` for the RABBIT family ([`Rabbit`], every
+    /// [`RabbitPlusPlus`] configuration, [`FlatCommunity`]), `None`
+    /// (the default) for a technique that orders from the matrix alone.
+    ///
+    /// Techniques that report equal configurations share one detection:
+    /// the experiment grid runs `Rabbit { detection }.run(a)` once per
+    /// matrix and hands the result to each one's [`Reordering::derive`].
+    fn detection(&self) -> Option<DetectionConfig> {
+        None
+    }
+
+    /// Computes the permutation for `a` from a finished detection on it.
+    ///
+    /// When [`Reordering::detection`] is `Some(config)`, `detection`
+    /// must be `Rabbit { detection: config }.run(a)`; the result is then
+    /// byte-identical to [`Reordering::reorder`], which the RABBIT
+    /// family implements as exactly this call on a fresh detection. The
+    /// default ignores `detection` and delegates to
+    /// [`Reordering::reorder`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Reordering::reorder`].
+    fn derive(&self, a: &CsrMatrix, detection: &RabbitResult) -> Result<Permutation, SparseError> {
+        let _ = detection;
         self.reorder(a)
     }
 }

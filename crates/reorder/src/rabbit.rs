@@ -70,7 +70,16 @@ impl Reordering for Rabbit {
     }
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
-        Ok(self.run(a)?.permutation)
+        self.derive(a, &self.run(a)?)
+    }
+
+    fn detection(&self) -> Option<DetectionConfig> {
+        Some(self.detection)
+    }
+
+    /// RABBIT's order is the detection's own dendrogram DFS order.
+    fn derive(&self, _a: &CsrMatrix, detection: &RabbitResult) -> Result<Permutation, SparseError> {
+        Ok(detection.permutation.clone())
     }
 }
 
@@ -120,7 +129,15 @@ impl Reordering for FlatCommunity {
     }
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
-        self.shuffled_order(&Rabbit::new().run(a)?)
+        self.derive(a, &Rabbit::new().run(a)?)
+    }
+
+    fn detection(&self) -> Option<DetectionConfig> {
+        Some(Rabbit::new().detection)
+    }
+
+    fn derive(&self, _a: &CsrMatrix, detection: &RabbitResult) -> Result<Permutation, SparseError> {
+        self.shuffled_order(detection)
     }
 }
 

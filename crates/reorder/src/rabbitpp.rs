@@ -17,12 +17,15 @@
 //!
 //! The full Table II design space is expressible through
 //! [`RabbitPlusPlusConfig`]; the default is the paper's RABBIT++
-//! (insular grouping **and** hub grouping).
+//! (insular grouping **and** hub grouping). Every configuration is a
+//! pure derivation from a RABBIT run ([`Reordering::derive`]), so the
+//! experiment grid detects once per matrix and derives all of them.
 
 use commorder_exec::Engine;
 use commorder_obs as obs;
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 
+use crate::community::DetectionConfig;
 use crate::degree::hub_mask;
 use crate::quality;
 use crate::rabbit::{Rabbit, RabbitResult};
@@ -143,6 +146,22 @@ impl RabbitPlusPlus {
     pub fn run(&self, a: &CsrMatrix) -> Result<RabbitPlusPlusResult, SparseError> {
         let _span = obs::span!("reorder.rabbitpp");
         let rabbit = Rabbit::new().run(a)?;
+        let (permutation, insular, hubs) = self.regroup(a, &rabbit)?;
+        Ok(RabbitPlusPlusResult {
+            permutation,
+            rabbit,
+            insular,
+            hubs,
+        })
+    }
+
+    /// Applies the configured modifications to the RABBIT run `rabbit`
+    /// on `a`: the final permutation plus the insular and hub masks.
+    fn regroup(
+        &self,
+        a: &CsrMatrix,
+        rabbit: &RabbitResult,
+    ) -> Result<(Permutation, Vec<bool>, Vec<bool>), SparseError> {
         let insular = {
             let _insular_span = obs::span!("rabbitpp.insular");
             quality::insular_nodes(a, &rabbit.assignment)?
@@ -182,13 +201,7 @@ impl RabbitPlusPlus {
             }
             order.extend(seg_vertices);
         }
-        let permutation = Permutation::from_order(&order)?;
-        Ok(RabbitPlusPlusResult {
-            permutation,
-            rabbit,
-            insular,
-            hubs,
-        })
+        Ok((Permutation::from_order(&order)?, insular, hubs))
     }
 
     /// [`RabbitPlusPlus::run`] for callers that carry an engine.
@@ -221,7 +234,16 @@ impl Reordering for RabbitPlusPlus {
     }
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
-        Ok(self.run(a)?.permutation)
+        let _span = obs::span!("reorder.rabbitpp");
+        self.derive(a, &Rabbit::new().run(a)?)
+    }
+
+    fn detection(&self) -> Option<DetectionConfig> {
+        Some(Rabbit::new().detection)
+    }
+
+    fn derive(&self, a: &CsrMatrix, detection: &RabbitResult) -> Result<Permutation, SparseError> {
+        Ok(self.regroup(a, detection)?.0)
     }
 }
 

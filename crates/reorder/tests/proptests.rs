@@ -13,6 +13,7 @@ use commorder_reorder::{
     RcmPlusPlus, ReorderContext, Reordering, SlashBurn,
 };
 use commorder_sparse::ops;
+use commorder_synth::corpus;
 
 fn all_techniques() -> Vec<Box<dyn Reordering>> {
     vec![
@@ -70,6 +71,41 @@ fn reorder_with_matches_serial_reorder_at_any_thread_count() {
             );
         }
     });
+}
+
+#[test]
+fn rabbit_family_derivations_equal_standalone_reorders_on_the_mini_corpus() {
+    // The experiment grid detects once per matrix and derives every
+    // RABBIT-family technique from that one result; each derivation must
+    // equal the technique's standalone run byte for byte.
+    let mut family: Vec<Box<dyn Reordering>> =
+        vec![Box::new(Rabbit::new()), Box::new(FlatCommunity::new(11))];
+    for config in RabbitPlusPlusConfig::design_space() {
+        family.push(Box::new(RabbitPlusPlus::with_config(config)));
+    }
+    for entry in corpus::mini() {
+        let a = entry.generate().expect("mini corpus generates");
+        let detection = Rabbit::new().run(&a).expect("square");
+        for technique in &family {
+            let name = format!("{} on {}", technique.name(), entry.name);
+            assert_eq!(
+                technique.detection(),
+                Some(DetectionConfig::default()),
+                "{name}"
+            );
+            let derived = technique.derive(&a, &detection).expect("square");
+            assert_eq!(derived, technique.reorder(&a).expect("square"), "{name}");
+        }
+    }
+    for technique in all_techniques() {
+        let family_member = ["RABBIT", "RABBIT++", "RABBIT-FLAT"].contains(&technique.name());
+        assert_eq!(
+            technique.detection().is_some(),
+            family_member,
+            "{}",
+            technique.name()
+        );
+    }
 }
 
 #[test]

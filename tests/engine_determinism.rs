@@ -127,6 +127,54 @@ fn grid_declaration_order_never_affects_per_run_stats() {
     });
 }
 
+/// The record lines of a rendered report, in record order.
+fn record_lines(json: &str) -> Vec<&str> {
+    json.lines()
+        .filter(|line| line.trim_start().starts_with("{\"matrix\""))
+        .map(|line| line.trim_end_matches(','))
+        .collect()
+}
+
+#[test]
+fn shared_detection_grid_matches_one_spec_per_technique() {
+    // The grid derives all seven RABBIT-family techniques below from one
+    // detection per matrix; running each alone, with its own detection,
+    // must give the same cells and permutations.
+    let family = || -> Vec<Box<dyn Reordering>> {
+        let mut techniques: Vec<Box<dyn Reordering>> = RabbitPlusPlusConfig::design_space()
+            .into_iter()
+            .map(|config| Box::new(RabbitPlusPlus::with_config(config)) as Box<dyn Reordering>)
+            .collect();
+        techniques.push(Box::new(Rabbit::new()));
+        techniques
+    };
+    let with_matrices = |mut spec: ExperimentSpec| {
+        for entry in corpus::mini().into_iter().take(3) {
+            let matrix = entry.generate().expect("mini corpus generates");
+            spec = spec.matrix_in_group(entry.name, entry.domain.label(), matrix);
+        }
+        spec
+    };
+    let engine = Engine::new(2);
+    let shared = with_matrices(ExperimentSpec::new(GpuSpec::test_scale()).techniques(family()))
+        .run(&engine)
+        .expect("valid grid");
+    assert_eq!(shared.stats.jobs, 3, "one job per matrix");
+    let shared_json = shared.render_json();
+    let shared_lines = record_lines(&shared_json);
+    let n_techniques = shared.techniques.len();
+    for (ti, technique) in family().into_iter().enumerate() {
+        let alone = with_matrices(ExperimentSpec::new(GpuSpec::test_scale()).technique(technique))
+            .run(&engine)
+            .expect("valid grid");
+        let alone_json = alone.render_json();
+        for (mi, line) in record_lines(&alone_json).into_iter().enumerate() {
+            assert_eq!(shared_lines[mi * n_techniques + ti], line);
+            assert_eq!(shared.permutations[mi][ti], alone.permutations[mi][0]);
+        }
+    }
+}
+
 /// The compile-time Send/Sync audit backing the engine: everything a
 /// job closure captures must cross threads.
 #[test]

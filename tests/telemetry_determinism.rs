@@ -3,7 +3,9 @@
 //! test pins that contract end to end — the report JSON is byte
 //! identical with and without telemetry at 1 and 4 worker threads, and
 //! the captured stream validates clean under the `CHK09xx` auditors
-//! while covering every pipeline phase for every grid cell.
+//! while covering every pipeline phase for every grid cell. A second
+//! test counts the grid's shared community detections in the stream.
+//! Both hold `obs::tests_serial()`, since the sink is process-global.
 
 use std::sync::Arc;
 
@@ -75,4 +77,31 @@ fn report_json_is_byte_identical_with_and_without_telemetry() {
         assert!(stream.contains("\"name\":\"exec.jobs\""));
         assert!(stream.contains("\"name\":\"cachesim.accesses\""));
     }
+}
+
+#[test]
+fn paper_suite_grid_detects_once_per_matrix() {
+    let _serial = obs::tests_serial();
+    let entries: Vec<_> = corpus::mini().into_iter().take(2).collect();
+    let mut spec = ExperimentSpec::new(GpuSpec::test_scale()).techniques(paper_suite(7));
+    for entry in &entries {
+        let matrix = entry.generate().expect("mini corpus generates");
+        spec = spec.matrix_in_group(entry.name, entry.domain.label(), matrix);
+    }
+    let sink = Arc::new(MemorySink::new());
+    let guard = obs::install(sink.clone());
+    spec.run(&Engine::new(2)).expect("valid grid");
+    drop(guard);
+
+    // RABBIT and RABBIT++ share one detection per matrix; the other five
+    // techniques run one job each.
+    let stream = sink.to_jsonl();
+    let spans = |name: &str| stream.matches(&format!("\"name\":\"{name}\"")).count();
+    assert_eq!(spans("grid.detect"), entries.len());
+    for entry in &entries {
+        let detail = format!("\"name\":\"grid.detect\",\"detail\":\"{}\"", entry.name);
+        assert_eq!(stream.matches(&detail).count(), 1, "{}", entry.name);
+    }
+    assert_eq!(spans("grid.job"), entries.len() * 6);
+    assert_eq!(spans("grid.reorder"), entries.len() * 7);
 }
