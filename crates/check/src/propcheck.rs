@@ -15,6 +15,8 @@
 //! });
 //! ```
 
+use std::collections::BTreeMap;
+
 use commorder_cachesim::Access;
 use commorder_sparse::{CooMatrix, CsrMatrix, Permutation, ELEM_BYTES};
 use commorder_synth::rng::Rng;
@@ -96,6 +98,58 @@ pub fn arb_graph(rng: &mut Rng, max_n: u32, avg_degree: u32) -> CsrMatrix {
     CsrMatrix::try_from(coo).expect("conversion preserves validity")
 }
 
+/// A random square matrix equal to its own transpose (values included),
+/// built from `arb_csr`'s upper triangle and diagonal. With `perturb`,
+/// one off-diagonal entry then loses its mirror or has its value negated
+/// (different bits, so the matrix is nearly but not exactly mirrored).
+#[must_use]
+pub fn arb_mirrored(rng: &mut Rng, max_n: u32, avg_degree: u32, perturb: bool) -> CsrMatrix {
+    let base = arb_csr(rng, max_n, avg_degree);
+    let mut entries = Vec::with_capacity(2 * base.nnz());
+    for (r, c, v) in base.iter().filter(|&(r, c, _)| r <= c) {
+        entries.push((r, c, v));
+        if r != c {
+            entries.push((c, r, v));
+        }
+    }
+    let off_diagonal: Vec<usize> = (0..entries.len())
+        .filter(|&k| entries[k].0 != entries[k].1)
+        .collect();
+    if perturb && !off_diagonal.is_empty() {
+        let k = off_diagonal[rng.gen_range(off_diagonal.len() as u64) as usize];
+        if rng.gen_bool(0.5) {
+            entries.swap_remove(k);
+        } else {
+            entries[k].2 = -entries[k].2;
+        }
+    }
+    let n = base.n_rows();
+    let coo = CooMatrix::from_entries(n, n, entries).expect("coords drawn in bounds");
+    CsrMatrix::try_from(coo).expect("conversion preserves validity")
+}
+
+/// Brute-force `A ∪ Aᵀ` of a square `a` as row-major `(row, col, value)`
+/// triples, optionally without the diagonal: the reference the row-merge
+/// in `commorder_sparse::ops` must match. Where both `(r, c)` and
+/// `(c, r)` are stored, the value is `a_rc + a_cr` in that order.
+#[must_use]
+pub fn brute_union(a: &CsrMatrix, keep_diagonal: bool) -> Vec<(u32, u32, f32)> {
+    let mut union: BTreeMap<(u32, u32), (Option<f32>, Option<f32>)> = BTreeMap::new();
+    for (r, c, v) in a.iter() {
+        union.entry((r, c)).or_default().0 = Some(v);
+        union.entry((c, r)).or_default().1 = Some(v);
+    }
+    union
+        .into_iter()
+        .filter(|&((r, c), _)| keep_diagonal || r != c)
+        .map(|((r, c), pair)| match pair {
+            (Some(x), Some(y)) => (r, c, x + y),
+            (Some(x), None) | (None, Some(x)) => (r, c, x),
+            (None, None) => unreachable!("every key has a value"),
+        })
+        .collect()
+}
+
 /// A uniformly random permutation of `0..n` (Fisher–Yates over the
 /// identity).
 #[must_use]
@@ -139,6 +193,38 @@ mod tests {
             assert!(check_permutation(&p, Some(u64::from(g.n_rows()))).is_empty());
             let t = arb_trace(rng, 50, 4096);
             assert!(check_trace(&t, Some(4096), 32).is_empty());
+        });
+    }
+
+    #[test]
+    fn view_built_unions_equal_the_brute_force_union_bit_for_bit() {
+        use commorder_sparse::ops;
+        let bits = |entries: Vec<(u32, u32, f32)>| -> Vec<(u32, u32, u32)> {
+            entries
+                .into_iter()
+                .map(|(r, c, v)| (r, c, v.to_bits()))
+                .collect()
+        };
+        run_cases("union-rows-vs-brute-force", DEFAULT_CASES, |rng| {
+            let cases = [
+                (arb_csr(rng, 40, 3), false),
+                (arb_mirrored(rng, 40, 3, false), true),
+                (arb_mirrored(rng, 40, 3, true), false),
+            ];
+            for (m, mirrored) in cases {
+                let entries = bits(m.iter().collect());
+                let mut flipped: Vec<_> = entries.iter().map(|&(r, c, v)| (c, r, v)).collect();
+                flipped.sort_unstable();
+                assert_eq!(ops::is_mirrored(&m), Ok(entries == flipped));
+                // An `arb_csr` draw may happen to be mirrored; the others
+                // are mirrored exactly when unperturbed.
+                assert!(!mirrored || entries == flipped);
+                let sym = ops::symmetrize(&m).expect("square");
+                assert_eq!(bits(sym.iter().collect()), bits(brute_union(&m, true)));
+                let und = ops::undirected(&m).expect("square");
+                assert_eq!(bits(und.iter().collect()), bits(brute_union(&m, false)));
+                assert!(check_csr(&sym).is_empty() && check_csr(&und).is_empty());
+            }
         });
     }
 

@@ -12,11 +12,12 @@
 //! (Louvain-style) continue until no merge improves modularity.
 //!
 //! The aggregation works on flat arrays: each aggregate's neighbours are
-//! its row of the symmetrized CSR plus an appended run of
-//! `(neighbour, weight)` entries inherited from merged aggregates, and a
-//! visit consolidates them through one reused slot table. Weights are
-//! therefore summed in a fixed order (CSR order, then merge order), so a
-//! permutation depends only on the input matrix, real-valued or not.
+//! its row of `A ∪ Aᵀ`, merged on demand from `a` (and `Aᵀ` unless `a`
+//! is its own mirror), then exact-size segments of `(neighbour, weight)`
+//! entries left by its own last visit and by the aggregates merged into
+//! it. A visit consolidates them through one reused slot table, so
+//! weights are summed in a fixed order (CSR order, then merge order) and
+//! a permutation depends only on the input matrix, real-valued or not.
 
 use std::cmp::Ordering;
 
@@ -205,40 +206,57 @@ impl Default for DetectionConfig {
 /// Self-loops are ignored; directed inputs are symmetrized. Edge values
 /// are used as weights (pattern matrices weigh every edge 1.0).
 /// Detection is one serial aggregation sweep over global vertex ids, so
-/// the result is a pure function of `(a, config)`.
+/// the result is a pure function of `(a, config)`. The rows of `A ∪ Aᵀ`
+/// are merged on demand ([`ops::UnionRows`]), never stored, so no union
+/// of more than `u32::MAX` entries can fail with
+/// [`SparseError::TooLarge`] here.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
 /// [`SparseError::NonFiniteValue`] if a weight of `a`, or of `a + aᵀ`
-/// (whose `f32` sums can overflow), is NaN or infinite.
+/// (whose `f32` sums can overflow), is NaN or infinite: the first such
+/// entry of `a` in row-major order, else the first of `a + aᵀ`.
 pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, SparseError> {
     let _span = obs::span!("community.detect");
-    check_finite(a)?;
+    let non_finite = |row: u32, col: u32| SparseError::NonFiniteValue { row, col };
+    if let Some((row, col, _)) = a.iter().find(|(_, _, w)| !w.is_finite()) {
+        return Err(non_finite(row, col));
+    }
     let sym = {
         let _sym_span = obs::span!("community.symmetrize");
-        ops::undirected(a)?
+        ops::UnionRows::undirected(a)?
     };
-    check_finite(&sym)?;
-    let n = sym.n_rows() as usize;
+    let n = sym.n();
 
     // `strength[v]` is the summed weight of edges incident to v, in CSR
     // row order; `total_m` the summed weight of all edges (each
-    // undirected edge once), in ascending vertex order.
-    let strength: Vec<f64> = (0..sym.n_rows())
-        .map(|v| {
-            let (_, vals) = sym.row(v);
-            vals.iter().map(|&w| f64::from(w)).sum::<f64>()
-        })
-        .collect();
+    // undirected edge once), in ascending vertex order. Isolated
+    // vertices can neither merge nor be merged into, so they never
+    // become `alive`.
+    let mut strength = Vec::with_capacity(n as usize);
+    let mut alive = Vec::new();
+    for v in 0..n {
+        let (mut sum, mut degree, mut bad) = (0.0f64, 0u32, None);
+        sym.for_each_in_row(v, |c, w| {
+            sum += f64::from(w);
+            degree += 1;
+            bad = bad.or((!w.is_finite()).then_some(c));
+        });
+        if let Some(c) = bad {
+            return Err(non_finite(v, c));
+        }
+        strength.push(sum);
+        alive.extend((degree > 0).then_some(v));
+    }
     let total_m: f64 = strength.iter().sum::<f64>() / 2.0;
     if total_m == 0.0 {
         // Edgeless (or empty) graph: every vertex is its own community.
-        return Ok(Dendrogram::from_merges(n, &[]));
+        return Ok(Dendrogram::from_merges(n as usize, &[]));
     }
 
-    let merges = aggregate(&sym, strength, total_m, &config);
-    Ok(Dendrogram::from_merges(n, &merges))
+    let merges = aggregate(&sym, alive, strength, total_m, &config);
+    Ok(Dendrogram::from_merges(n as usize, &merges))
 }
 
 /// [`detect`] for callers that carry an engine.
@@ -257,45 +275,34 @@ pub fn detect_with(
     detect(a, config)
 }
 
-/// Rejects the first NaN or infinite value of `m`, in row-major order.
-fn check_finite(m: &CsrMatrix) -> Result<(), SparseError> {
-    match m.values().iter().position(|w| !w.is_finite()) {
-        None => Ok(()),
-        Some(k) => {
-            // Rows before the one holding entry `k` end at or before `k`.
-            let row = m.row_offsets().partition_point(|&end| end as usize <= k) - 1;
-            Err(SparseError::NonFiniteValue {
-                row: row as u32,
-                col: m.col_indices()[k],
-            })
-        }
-    }
-}
-
 /// The RABBIT modularity aggregation: increasing-strength visit order,
 /// best-positive-gain merge, smallest-ID tie-break, Louvain-style
 /// re-sweeps until quiescent or `config.max_passes`. Returns the merges
 /// `(child, parent)` in chronological order.
 ///
-/// Adjacency lives in flat arrays. A live aggregate `v`'s neighbours are
-/// its own row of `sym`, read at its first visit (every vertex with an
-/// edge is visited on the first sweep, so later sweeps never read it),
-/// followed by `runs[v]`: `(neighbour, weight)` entries appended by the
-/// aggregates merged into `v`, uncombined, their neighbour ids possibly
-/// stale. A visit consolidates them through the union-find into
-/// `scratch`, with `slot[r]` holding the scratch index of live
-/// neighbour `r` (`NONE` between visits). Each consolidated weight is
-/// therefore summed in CSR order and then merge order, independent of
-/// any hash seed.
+/// A live aggregate `v`'s neighbours are its row of `sym`, read at its
+/// first visit (every vertex in `alive` is visited on the first sweep,
+/// so later sweeps never read it), then a chain of segments: `seg[w].0`
+/// holds the consolidated `(neighbour, weight)` entries of `w`'s last
+/// visit in an allocation of exactly their count, and `seg[w].1` links
+/// `v`'s own segment to those of the aggregates merged into it since, in
+/// merge order, up to `tail[v]`. Neighbour ids may be stale. A visit
+/// frees its chain as it consolidates it through the union-find into
+/// `scratch`, with `slot[r]` holding the scratch index of live neighbour
+/// `r` (`NONE` between visits), then stores its own segment and link.
+/// Each consolidated weight is therefore summed in CSR order and then
+/// merge order, independent of any hash seed.
 fn aggregate(
-    sym: &CsrMatrix,
+    sym: &ops::UnionRows<'_>,
+    mut alive: Vec<u32>,
     mut strength: Vec<f64>,
     total_m: f64,
     config: &DetectionConfig,
 ) -> Vec<(u32, u32)> {
-    let n = sym.n_rows();
+    let n = sym.n();
     let mut merges: Vec<(u32, u32)> = Vec::new();
-    let mut runs: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n as usize];
+    let mut seg = vec![(Box::<[(u32, f64)]>::default(), NONE); n as usize];
+    let mut tail: Vec<u32> = (0..n).collect();
     let mut slot: Vec<u32> = vec![NONE; n as usize];
     let mut scratch: Vec<(u32, f64)> = Vec::new();
 
@@ -316,9 +323,6 @@ fn aggregate(
         root
     }
 
-    // Isolated vertices can neither merge nor be merged into, so they
-    // never enter the sweep.
-    let mut alive: Vec<u32> = (0..n).filter(|&v| sym.row_degree(v) > 0).collect();
     let mut next_alive: Vec<u32> = Vec::with_capacity(alive.len());
     let two_m_sq = 2.0 * total_m * total_m;
     for pass in 0..config.max_passes {
@@ -326,40 +330,42 @@ fn aggregate(
         let mut pass_merges = 0u64;
         // Sweep live aggregates in increasing-strength order (degree order
         // on the first pass — the RABBIT visit order). Strengths are
-        // finite (`check_finite`), so the comparison never fails.
+        // finite (checked by `detect`), so the comparison never fails.
         alive.sort_by(|&x, &y| {
             strength[x as usize]
                 .partial_cmp(&strength[y as usize])
                 .unwrap_or(Ordering::Equal)
                 .then(x.cmp(&y))
         });
-        let mut merged_any = false;
         next_alive.clear();
         for &v in &alive {
             if top[v as usize] != v {
                 continue; // absorbed earlier this pass
             }
-            // Consolidate v's own row (first sweep only) and run.
-            let own = if pass == 0 {
-                sym.row(v)
-            } else {
-                (&[][..], &[][..])
-            };
-            let run = std::mem::take(&mut runs[v as usize]);
-            let entries = own.0.iter().zip(own.1).map(|(&c, &w)| (c, f64::from(w)));
-            for (nbr, w) in entries.chain(run.iter().copied()) {
+            // Consolidate v's own row (first sweep only), then its chain.
+            let mut add = |nbr: u32, w: f64| {
                 let r = find(&mut top, nbr);
-                if r == v {
-                    continue;
-                }
                 match slot[r as usize] {
+                    _ if r == v => {}
                     NONE => {
                         slot[r as usize] = scratch.len() as u32;
                         scratch.push((r, w));
                     }
                     s => scratch[s as usize].1 += w,
                 }
+            };
+            if pass == 0 {
+                sym.for_each_in_row(v, |c, w| add(c, f64::from(w)));
             }
+            let mut w = v;
+            while w != NONE {
+                let (entries, next) = std::mem::take(&mut seg[w as usize]);
+                for &(nbr, x) in entries.iter() {
+                    add(nbr, x);
+                }
+                w = next;
+            }
+            tail[v as usize] = v;
             // Best-gain neighbour; ties break to the smallest vertex ID.
             let mut best: Option<(u32, f64)> = None;
             for &(u, w_vu) in &scratch {
@@ -374,33 +380,26 @@ fn aggregate(
                     best = Some((u, gain));
                 }
             }
-            match best {
-                Some((u, _)) => {
-                    // Merge v into u: v's consolidated neighbours, minus
-                    // u itself, join u's run.
-                    runs[u as usize].extend(scratch.iter().filter(|&&(r, _)| r != u));
-                    strength[u as usize] += strength[v as usize];
-                    top[v as usize] = u;
-                    merges.push((v, u));
-                    merged_any = true;
-                    pass_merges += 1;
-                }
-                None => {
-                    // v stays live, keeping its consolidated neighbours
-                    // in the run's buffer.
-                    let mut run = run;
-                    run.clear();
-                    run.extend_from_slice(&scratch);
-                    runs[v as usize] = run;
-                    next_alive.push(v);
-                }
+            if let Some((u, _)) = best {
+                // Merge v into u: v's segment, minus u, ends u's chain.
+                scratch.retain(|&(r, _)| r != u);
+                seg[tail[u as usize] as usize].1 = v;
+                tail[u as usize] = v;
+                strength[u as usize] += strength[v as usize];
+                top[v as usize] = u;
+                merges.push((v, u));
+                pass_merges += 1;
+            } else {
+                // v stays live; its segment heads its own chain.
+                next_alive.push(v);
             }
+            seg[v as usize] = (scratch.as_slice().into(), NONE);
             scratch.clear();
         }
         std::mem::swap(&mut alive, &mut next_alive);
         obs::counter!("reorder.community.passes", 1);
         obs::counter!("reorder.community.merges", pass_merges);
-        if !merged_any {
+        if pass_merges == 0 {
             break;
         }
     }

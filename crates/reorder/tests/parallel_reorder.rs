@@ -16,10 +16,17 @@
 //! are exact in any order. `planted-real` carries non-dyadic weights,
 //! so its golden also pins the order in which detection sums them: a
 //! permutation must not depend on hash seed, process or machine.
+//!
+//! Every corpus entry and `planted-real` equals its own transpose, so
+//! detection reads `A ∪ Aᵀ` without building `Aᵀ`. Three more inputs
+//! are not mirrors and take the transpose path: `planted-directed`
+//! keeps only the upper triangle, `planted-real-ordered` keys its
+//! weights by the ordered pair `(r, c)`, and `planted-signed-zero`
+//! stores `0.0` and `-0.0` across the diagonal once.
 
 use commorder_exec::Engine;
 use commorder_reorder::ReorderContext;
-use commorder_sparse::{CooMatrix, CsrMatrix};
+use commorder_sparse::{ops, CooMatrix, CsrMatrix};
 use commorder_synth::corpus;
 use commorder_synth::generators::PlantedPartition;
 
@@ -55,11 +62,39 @@ const GOLDEN: &[(&str, &[(&str, u64)])] = &[
             ("RABBIT++", 0x2DBB_B21E_2530_66A5),
         ],
     ),
+    (
+        "planted-directed",
+        &[
+            ("RABBIT", 0x5B4F_BF19_3EDC_8A05),
+            ("RABBIT-FLAT", 0x993D_3181_9511_2901),
+            ("RABBIT++", 0x5405_C1E4_3B50_3FE5),
+        ],
+    ),
+    (
+        "planted-real-ordered",
+        &[
+            ("RABBIT", 0x02EF_8448_B860_714D),
+            ("RABBIT-FLAT", 0x3B3D_0DA7_7C93_22A1),
+            ("RABBIT++", 0xA275_1B27_BD7C_D059),
+        ],
+    ),
+    (
+        "planted-signed-zero",
+        &[
+            ("RABBIT", 0xC0DB_E28C_4D90_9C65),
+            ("RABBIT-FLAT", 0x8B47_400B_3767_944D),
+            ("RABBIT++", 0xBEE9_8CDF_92FF_F3E9),
+        ],
+    ),
 ];
 
 fn golden_matrix(name: &str) -> CsrMatrix {
-    if name == "planted-real" {
-        return planted_real();
+    match name {
+        "planted-real" => return weighted_planted(|r, c| r.min(c) * 7 + r.max(c) * 3),
+        "planted-real-ordered" => return weighted_planted(|r, c| r * 7 + c * 6),
+        "planted-directed" => return planted_directed(),
+        "planted-signed-zero" => return planted_signed_zero(),
+        _ => {}
     }
     corpus::standard()
         .into_iter()
@@ -69,23 +104,54 @@ fn golden_matrix(name: &str) -> CsrMatrix {
         .expect("corpus entries generate")
 }
 
-/// A planted partition whose edge weights come from {0.1, 0.2, 0.3, 0.7}
-/// by coordinate (symmetric in `(r, c)`), so detection sums weights that
-/// have no exact binary representation.
-fn planted_real() -> CsrMatrix {
-    const WEIGHTS: [f32; 4] = [0.1, 0.2, 0.3, 0.7];
-    let g = PlantedPartition::uniform(8192, 64, 12.0, 0.15)
+/// The symmetric pattern graph every `planted-*` input derives from.
+fn planted() -> CsrMatrix {
+    PlantedPartition::uniform(8192, 64, 12.0, 0.15)
         .generate(0x5EED)
-        .expect("planted partition generates");
+        .expect("planted partition generates")
+}
+
+/// The planted partition with edge weights from {0.1, 0.2, 0.3, 0.7},
+/// picked by `key(r, c)`, so detection sums weights that have no exact
+/// binary representation. A key symmetric in `(r, c)` keeps the matrix
+/// its own transpose; an ordered one does not.
+fn weighted_planted(key: impl Fn(usize, usize) -> usize) -> CsrMatrix {
+    const WEIGHTS: [f32; 4] = [0.1, 0.2, 0.3, 0.7];
+    let g = planted();
     let entries: Vec<(u32, u32, f32)> = g
         .iter()
-        .map(|(r, c, _)| {
-            let k = (r.min(c) as usize * 7 + r.max(c) as usize * 3) % WEIGHTS.len();
-            (r, c, WEIGHTS[k])
-        })
+        .map(|(r, c, _)| (r, c, WEIGHTS[key(r as usize, c as usize) % WEIGHTS.len()]))
         .collect();
     let coo = CooMatrix::from_entries(g.n_rows(), g.n_cols(), entries).expect("in bounds");
     CsrMatrix::try_from(coo).expect("valid CSR")
+}
+
+/// The planted partition with its lower triangle dropped: a directed
+/// graph whose every edge points to the larger vertex id.
+fn planted_directed() -> CsrMatrix {
+    let g = planted();
+    let entries: Vec<(u32, u32, f32)> = g.iter().filter(|&(r, c, _)| r <= c).collect();
+    let coo = CooMatrix::from_entries(g.n_rows(), g.n_cols(), entries).expect("in bounds");
+    CsrMatrix::try_from(coo).expect("valid CSR")
+}
+
+/// `planted-real` with row 0's first edge stored as `0.0` and its
+/// mirror as `-0.0`: equal values whose bits differ.
+fn planted_signed_zero() -> CsrMatrix {
+    let g = weighted_planted(|r, c| r.min(c) * 7 + r.max(c) * 3);
+    let c = g.row(0).0[0];
+    let mut values = g.values().to_vec();
+    values[0] = 0.0;
+    // Column 0 is the smallest, so `(c, 0)` leads row `c`.
+    values[g.row_offsets()[c as usize] as usize] = -0.0;
+    CsrMatrix::new(
+        g.n_rows(),
+        g.n_cols(),
+        g.row_offsets().to_vec(),
+        g.col_indices().to_vec(),
+        values,
+    )
+    .expect("same structure")
 }
 
 /// FNV-1a over the permutation's new-id array, little-endian — the same
@@ -143,4 +209,31 @@ fn golden_and_parallel_permutations_on_island_entry() {
 #[test]
 fn golden_and_parallel_permutations_on_real_weights() {
     assert_golden_and_invariant_on("planted-real");
+}
+
+#[test]
+fn golden_and_parallel_permutations_on_directed_input() {
+    assert_golden_and_invariant_on("planted-directed");
+}
+
+#[test]
+fn golden_and_parallel_permutations_on_ordered_real_weights() {
+    assert_golden_and_invariant_on("planted-real-ordered");
+}
+
+#[test]
+fn golden_and_parallel_permutations_on_signed_zero_mirror() {
+    assert_golden_and_invariant_on("planted-signed-zero");
+}
+
+#[test]
+fn the_transpose_path_inputs_are_not_their_own_mirrors() {
+    for name in [
+        "planted-directed",
+        "planted-real-ordered",
+        "planted-signed-zero",
+    ] {
+        assert_eq!(ops::is_mirrored(&golden_matrix(name)), Ok(false), "{name}");
+    }
+    assert_eq!(ops::is_mirrored(&golden_matrix("planted-real")), Ok(true));
 }

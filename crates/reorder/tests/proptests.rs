@@ -4,7 +4,9 @@
 //!
 //! Driven by the offline `commorder_check::propcheck` harness.
 
-use commorder_check::propcheck::{arb_graph, run_cases, DEFAULT_CASES};
+use commorder_check::propcheck::{
+    arb_csr, arb_graph, arb_mirrored, brute_union, run_cases, DEFAULT_CASES,
+};
 use commorder_exec::Engine;
 use commorder_reorder::{
     community::{detect, DetectionConfig},
@@ -12,7 +14,7 @@ use commorder_reorder::{
     LabelPropagation, Original, Rabbit, RabbitPlusPlus, RabbitPlusPlusConfig, RandomOrder, Rcm,
     RcmPlusPlus, ReorderContext, Reordering, SlashBurn,
 };
-use commorder_sparse::ops;
+use commorder_sparse::{ops, CsrMatrix, SparseError};
 use commorder_synth::corpus;
 
 fn all_techniques() -> Vec<Box<dyn Reordering>> {
@@ -226,4 +228,80 @@ fn insular_nodes_never_touch_other_communities() {
             }
         }
     });
+}
+
+/// The error a detection that materializes `A ∪ Aᵀ` reports: the first
+/// non-finite weight of `a` in row-major order, else the first of the
+/// undirected union.
+fn materialized_union_error(a: &CsrMatrix) -> Option<SparseError> {
+    let non_finite = |(row, col, w): (u32, u32, f32)| (!w.is_finite()).then_some((row, col));
+    a.iter()
+        .find_map(non_finite)
+        .or_else(|| brute_union(a, false).into_iter().find_map(non_finite))
+        .map(|(row, col)| SparseError::NonFiniteValue { row, col })
+}
+
+#[test]
+fn detection_reports_the_non_finite_weight_a_materialized_union_would() {
+    run_cases("detect-non-finite-parity", DEFAULT_CASES, |rng| {
+        let m = match rng.gen_u32(3) {
+            0 => arb_csr(rng, 30, 3),
+            shape => arb_mirrored(rng, 30, 3, shape == 2),
+        };
+        let mut values = m.values().to_vec();
+        match rng.gen_u32(3) {
+            // One NaN anywhere, the diagonal included.
+            0 if !values.is_empty() => {
+                let k = rng.gen_range(values.len() as u64) as usize;
+                values[k] = f32::NAN;
+            }
+            // Every value finite but above f32::MAX / 2: a mirrored pair
+            // doubles to infinity, a directed pair of one sign overflows
+            // in a + aᵀ, and a pair of opposite signs cancels.
+            1 => values.iter_mut().for_each(|v| *v = v.signum() * 2e38),
+            _ => {}
+        }
+        let m = CsrMatrix::new(
+            m.n_rows(),
+            m.n_cols(),
+            m.row_offsets().to_vec(),
+            m.col_indices().to_vec(),
+            values,
+        )
+        .expect("same structure");
+        let got = detect(&m, DetectionConfig::default()).err();
+        assert_eq!(got, materialized_union_error(&m), "on {m:?}");
+    });
+}
+
+#[test]
+fn detection_error_parity_on_the_three_error_shapes() {
+    let m = |rows: Vec<u32>, cols: Vec<u32>, vals: Vec<f32>| {
+        CsrMatrix::new(3, 3, rows, cols, vals).expect("valid CSR")
+    };
+    let cases = [
+        // A NaN below the diagonal: reported where `a` stores it, not at
+        // its mirror in the earlier row.
+        m(
+            vec![0, 1, 3, 4],
+            vec![1, 0, 2, 1],
+            vec![1.0, 1.0, 1.0, f32::NAN],
+        ),
+        // A directed pair whose f32 sum overflows: the transpose path.
+        m(vec![0, 1, 2, 2], vec![1, 0], vec![3e38, 3.1e38]),
+        // A mirrored value above f32::MAX / 2 doubles to infinity.
+        m(
+            vec![0, 1, 3, 4],
+            vec![1, 0, 2, 1],
+            vec![1.0, 1.0, 2e38, 2e38],
+        ),
+    ];
+    let want = [(2, 1), (0, 1), (1, 2)];
+    for (a, (row, col)) in cases.iter().zip(want) {
+        let expected = Some(SparseError::NonFiniteValue { row, col });
+        assert_eq!(materialized_union_error(a), expected);
+        assert_eq!(detect(a, DetectionConfig::default()).err(), expected);
+    }
+    assert_eq!(ops::is_mirrored(&cases[1]), Ok(false));
+    assert_eq!(ops::is_mirrored(&cases[2]), Ok(true));
 }

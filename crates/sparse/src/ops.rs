@@ -4,10 +4,13 @@
 //! Reordering techniques treat the matrix as an (undirected) graph, so
 //! directed inputs are symmetrized first ([`symmetrize`], or
 //! [`undirected`] where self-loops are dropped too), exactly as the
-//! Rabbit Order and GOrder implementations do. [`mask_incident`] /
-//! [`mask_rows`] implement the paper's insular-sub-matrix experiment
-//! (Fig. 6: "evaluated by masking all non-zeros that do not connect to
-//! insular nodes").
+//! Rabbit Order and GOrder implementations do. Both materialize a
+//! [`UnionRows`] view, which merges row `r` of `A ∪ Aᵀ` on demand and
+//! builds no transpose when `a` is its own mirror ([`is_mirrored`]);
+//! community detection reads the view without materializing it.
+//! [`mask_incident`] / [`mask_rows`] implement the paper's
+//! insular-sub-matrix experiment (Fig. 6: "evaluated by masking all
+//! non-zeros that do not connect to insular nodes").
 
 use crate::{CsrMatrix, SparseError};
 
@@ -17,9 +20,10 @@ use crate::{CsrMatrix, SparseError};
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+/// [`SparseError::TooLarge`] if the union exceeds `u32` entries.
 pub fn symmetrize(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    union_with_transpose(a, true)
+    UnionRows::symmetrize(a)?.to_csr()
 }
 
 /// Returns the undirected simple graph of `a`: `A ∪ Aᵀ` with values summed
@@ -29,49 +33,161 @@ pub fn symmetrize(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+/// [`SparseError::TooLarge`] if the union exceeds `u32` entries.
 pub fn undirected(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-    union_with_transpose(a, false)
+    UnionRows::undirected(a)?.to_csr()
 }
 
-/// `A ∪ Aᵀ`, optionally without the diagonal. Rows are linear merges of
-/// the sorted rows of `a` and its transpose: one pass counts each output
-/// row, a second fills arrays allocated at their exact size.
-fn union_with_transpose(a: &CsrMatrix, keep_diagonal: bool) -> Result<CsrMatrix, SparseError> {
+/// `true` when the square matrix `a` equals its own transpose bit for
+/// bit, diagonal aside: every off-diagonal `(r, c)` has a stored `(c, r)`
+/// whose value has the same bits (so `0.0` does not mirror `-0.0`).
+///
+/// One read-only pass over the upper triangle. Rows are scanned in
+/// ascending order, so the upper entries of column `c` arrive in the
+/// order row `c` stores their mirrors below its diagonal; one cursor per
+/// row walks that lower triangle once, and must have reached its end by
+/// the time the scan gets to the row.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+pub fn is_mirrored(a: &CsrMatrix) -> Result<bool, SparseError> {
     if !a.is_square() {
         return Err(SparseError::DimensionMismatch {
             expected: "square matrix".to_string(),
             found: format!("{} x {}", a.n_rows(), a.n_cols()),
         });
     }
-    let t = a.transpose();
-    let n = a.n_rows();
-    let mut row_offsets = Vec::with_capacity(n as usize + 1);
-    row_offsets.push(0u32);
-    let too_large =
-        || SparseError::TooLarge(format!("A ∪ Aᵀ of a {n} x {n} matrix exceeds u32 entries"));
-    let mut nnz = 0u32;
-    for r in 0..n {
-        let mut len = 0u32;
-        merge_row(a.row(r), t.row(r), |c, _| {
-            if keep_diagonal || c != r {
-                len += 1;
+    let (offsets, cols, vals) = (a.row_offsets(), a.col_indices(), a.values());
+    // `[next, end]` per row: its next unmatched entry, and its end.
+    let mut cursor: Vec<[u32; 2]> = offsets.windows(2).map(|w| [w[0], w[1]]).collect();
+    for r in 0..a.n_rows() {
+        let (lo, hi) = (
+            offsets[r as usize] as usize,
+            offsets[r as usize + 1] as usize,
+        );
+        let diagonal = lo + cols[lo..hi].partition_point(|&c| c < r);
+        if cursor[r as usize][0] as usize != diagonal {
+            return Ok(false); // an entry below the diagonal has no mirror
+        }
+        let upper = diagonal + usize::from(diagonal < hi && cols[diagonal] == r);
+        for k in upper..hi {
+            let [p, end] = &mut cursor[cols[k] as usize];
+            let q = *p as usize;
+            if *p == *end || cols[q] != r || vals[q].to_bits() != vals[k].to_bits() {
+                return Ok(false);
             }
-        });
-        nnz = nnz.checked_add(len).ok_or_else(too_large)?;
-        row_offsets.push(nnz);
+            *p += 1;
+        }
     }
-    let mut col_indices = Vec::with_capacity(nnz as usize);
-    let mut values = Vec::with_capacity(nnz as usize);
-    for r in 0..n {
-        merge_row(a.row(r), t.row(r), |c, v| {
+    Ok(true)
+}
+
+/// `A ∪ Aᵀ` read one row at a time, optionally without the diagonal:
+/// row `r` is the merge of the sorted `a.row(r)` with row `r` of `Aᵀ`,
+/// values summed where both hold an entry. A mirrored `a` (see
+/// [`is_mirrored`]) is its own transpose, so the view then builds
+/// nothing and reads `a` alone; otherwise it holds `Aᵀ`.
+#[derive(Debug)]
+pub struct UnionRows<'a> {
+    a: &'a CsrMatrix,
+    /// `None` when `a` is mirrored.
+    transpose: Option<CsrMatrix>,
+    keep_diagonal: bool,
+}
+
+impl<'a> UnionRows<'a> {
+    /// The rows of [`symmetrize`]`(a)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+    pub fn symmetrize(a: &'a CsrMatrix) -> Result<Self, SparseError> {
+        Self::new(a, true)
+    }
+
+    /// The rows of [`undirected`]`(a)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+    pub fn undirected(a: &'a CsrMatrix) -> Result<Self, SparseError> {
+        Self::new(a, false)
+    }
+
+    fn new(a: &'a CsrMatrix, keep_diagonal: bool) -> Result<Self, SparseError> {
+        let transpose = (!is_mirrored(a)?).then(|| a.transpose());
+        Ok(UnionRows {
+            a,
+            transpose,
+            keep_diagonal,
+        })
+    }
+
+    /// Number of rows (and columns).
+    #[must_use]
+    pub fn n(&self) -> u32 {
+        self.a.n_rows()
+    }
+
+    /// `true` when the view reads `a` alone, building no transpose.
+    #[must_use]
+    pub fn is_mirrored(&self) -> bool {
+        self.transpose.is_none()
+    }
+
+    /// Calls `on_entry(col, value)` for every entry of row `r`, in
+    /// ascending column order.
+    #[inline]
+    pub fn for_each_in_row(&self, r: u32, mut on_entry: impl FnMut(u32, f32)) {
+        let keep_diagonal = self.keep_diagonal;
+        let mut on_kept = |c: u32, v: f32| {
             if keep_diagonal || c != r {
+                on_entry(c, v);
+            }
+        };
+        let row = self.a.row(r);
+        match &self.transpose {
+            // Merging a row with itself pairs every entry with its own
+            // bits, so the merge is the row with each value added to
+            // itself. Skipping the general merge here cut detection's
+            // first sweep by 10-20% on `mega-soc-rmat-1m` (2-vCPU Xeon).
+            None => row
+                .0
+                .iter()
+                .zip(row.1)
+                .for_each(|(&c, &v)| on_kept(c, v + v)),
+            Some(t) => merge_row(row, t.row(r), on_kept),
+        }
+    }
+
+    /// The view as a CSR matrix: one pass counts each row, a second fills
+    /// arrays allocated at their exact size. Fails with
+    /// [`SparseError::TooLarge`] if the union exceeds `u32` entries.
+    fn to_csr(&self) -> Result<CsrMatrix, SparseError> {
+        let n = self.n();
+        let mut row_offsets = Vec::with_capacity(n as usize + 1);
+        row_offsets.push(0u32);
+        let too_large =
+            || SparseError::TooLarge(format!("A ∪ Aᵀ of a {n} x {n} matrix exceeds u32 entries"));
+        let mut nnz = 0u32;
+        for r in 0..n {
+            let mut len = 0u32;
+            self.for_each_in_row(r, |_, _| len += 1);
+            nnz = nnz.checked_add(len).ok_or_else(too_large)?;
+            row_offsets.push(nnz);
+        }
+        let mut col_indices = Vec::with_capacity(nnz as usize);
+        let mut values = Vec::with_capacity(nnz as usize);
+        for r in 0..n {
+            self.for_each_in_row(r, |c, v| {
                 col_indices.push(c);
                 values.push(v);
-            }
-        });
+            });
+        }
+        CsrMatrix::new(n, n, row_offsets, col_indices, values)
     }
-    CsrMatrix::new(n, n, row_offsets, col_indices, values)
 }
 
 /// Calls `on_entry(col, value)` for every column of the sorted union of two
@@ -267,6 +383,105 @@ mod tests {
         assert_eq!(u, remove_self_loops(&symmetrize(&a).unwrap()));
         assert_eq!(u.nnz(), 4);
         assert!(undirected(&CsrMatrix::new(1, 2, vec![0, 0], vec![], vec![]).unwrap()).is_err());
+    }
+
+    /// 0 - 1 - 2 as a mirrored matrix with a diagonal entry at 1.
+    fn mirrored_path() -> CsrMatrix {
+        CsrMatrix::new(
+            3,
+            3,
+            vec![0, 1, 4, 5],
+            vec![1, 0, 1, 2, 1],
+            vec![0.5, 0.5, 7.0, 0.25, 0.25],
+        )
+        .unwrap()
+    }
+
+    /// `mirrored_path` with entry `k` given `value`, or dropped for `None`.
+    fn edit(k: usize, value: Option<f32>) -> CsrMatrix {
+        let m = mirrored_path();
+        let mut cols = m.col_indices().to_vec();
+        let mut vals = m.values().to_vec();
+        let mut offsets = m.row_offsets().to_vec();
+        match value {
+            Some(v) => vals[k] = v,
+            None => {
+                cols.remove(k);
+                vals.remove(k);
+                for o in offsets.iter_mut().filter(|o| **o as usize > k) {
+                    *o -= 1;
+                }
+            }
+        }
+        CsrMatrix::new(3, 3, offsets, cols, vals).unwrap()
+    }
+
+    #[test]
+    fn mirrored_matrix_is_read_without_a_transpose() {
+        let m = mirrored_path();
+        assert_eq!(is_mirrored(&m), Ok(true));
+        let view = UnionRows::undirected(&m).unwrap();
+        assert!(
+            view.is_mirrored(),
+            "the view must read `a` alone, without a transpose"
+        );
+        let mut row = Vec::new();
+        view.for_each_in_row(1, |c, v| row.push((c, v)));
+        assert_eq!(row, vec![(0, 1.0), (2, 0.5)]);
+        let s = symmetrize(&m).unwrap();
+        assert_eq!(s.row(1).1, &[1.0, 14.0, 0.5]);
+    }
+
+    #[test]
+    fn mirror_check_rejects_a_missing_reverse_entry_in_the_last_row() {
+        let m = edit(4, None);
+        assert_eq!(is_mirrored(&m), Ok(false));
+        assert!(!UnionRows::symmetrize(&m).unwrap().is_mirrored());
+        let s = symmetrize(&m).unwrap();
+        assert_eq!(s.row(2), (&[1u32][..], &[0.25f32][..]));
+    }
+
+    #[test]
+    fn mirror_check_compares_bits_across_the_diagonal() {
+        assert_eq!(is_mirrored(&edit(3, Some(0.5))), Ok(false));
+        let zeros = {
+            let m = edit(3, Some(0.0));
+            let mut vals = m.values().to_vec();
+            vals[4] = -0.0;
+            CsrMatrix::new(
+                3,
+                3,
+                m.row_offsets().to_vec(),
+                m.col_indices().to_vec(),
+                vals,
+            )
+            .unwrap()
+        };
+        assert_eq!(is_mirrored(&zeros), Ok(false));
+        // 0.0 + -0.0 is 0.0 in both rows, where a mirror read would give -0.0.
+        let s = symmetrize(&zeros).unwrap();
+        assert_eq!(s.row(2).1[0].to_bits(), 0.0f32.to_bits());
+        // The diagonal is its own mirror, whatever its value.
+        assert_eq!(is_mirrored(&edit(2, Some(-3.0))), Ok(true));
+    }
+
+    #[test]
+    fn diagonal_only_and_empty_matrices_are_mirrored() {
+        let diag = CsrMatrix::new(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]).unwrap();
+        assert_eq!(is_mirrored(&diag), Ok(true));
+        assert_eq!(undirected(&diag).unwrap(), CsrMatrix::empty(2));
+        assert_eq!(is_mirrored(&CsrMatrix::empty(0)), Ok(true));
+        assert_eq!(is_mirrored(&CsrMatrix::empty(3)), Ok(true));
+    }
+
+    #[test]
+    fn mirror_check_rejects_rectangular() {
+        let m = CsrMatrix::new(1, 2, vec![0, 1], vec![1], vec![1.0]).unwrap();
+        assert!(matches!(
+            is_mirrored(&m),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        assert!(UnionRows::undirected(&m).is_err());
     }
 
     #[test]
