@@ -9,29 +9,42 @@
 //! 4 Gi accesses — at most 8 bytes per access, the bound the
 //! `trace_stream` microbench pins), records each access's dense line
 //! ordinal in them, and rewrites the array backward in place into
-//! next-use indices. Pass two walks the stream again and evicts by
-//! maximum next use. No `Vec<Access>` is ever held. Classification
-//! (compulsory, dead lines, write-backs) matches
-//! [`LruCache`](crate::LruCache) so the statistics are directly
-//! comparable.
+//! next-use indices; the ordinal count is the compulsory-miss count.
+//! Pass two tags each resident with its next use, the index of its
+//! line's next access, so access `i` hits exactly the way tagged `i` (an
+//! empty way holds `u64::MAX`, a dead line `u64::MAX - 1`); a miss in a
+//! full set evicts the largest tag. No `Vec<Access>` is ever held.
+//! Classification matches [`LruCache`](crate::LruCache) so the
+//! statistics are directly comparable.
 
-use crate::lines::{count_miss, Geometry, LineMap, LineSet, Ways};
+use crate::lines::{count_miss, Geometry, LineMap, Ways};
 use crate::source::TraceSource;
 use crate::trace::Access;
 use crate::{CacheConfig, CacheStats};
+
+/// Way tag of a resident never used again: above every access index and
+/// below the empty way's tag, `u64::MAX`.
+const NEVER_TAG: u64 = u64::MAX - 1;
 
 /// One next-use array entry, a trace index: `u32` while the trace is
 /// shorter than `u32::MAX` accesses, `u64` beyond. [`NextUse::NEVER`],
 /// the type's maximum, lies above every index and means "never used
 /// again".
-trait NextUse: Copy + Ord + Default {
+trait NextUse: Copy + Default + Into<u64> {
     const NEVER: Self;
 
     /// Index `i`, which callers keep below [`NextUse::NEVER`].
     fn from_index(i: usize) -> Self;
 
-    /// The entry as a slice index.
-    fn index(self) -> usize;
+    /// The entry as a `u64`, with "never" as [`NEVER_TAG`].
+    fn widen(self) -> u64 {
+        let wide = self.into();
+        if wide == Self::NEVER.into() {
+            NEVER_TAG
+        } else {
+            wide
+        }
+    }
 }
 
 impl NextUse for u32 {
@@ -39,10 +52,6 @@ impl NextUse for u32 {
 
     fn from_index(i: usize) -> Self {
         i as u32
-    }
-
-    fn index(self) -> usize {
-        self as usize
     }
 }
 
@@ -52,13 +61,10 @@ impl NextUse for u64 {
     fn from_index(i: usize) -> Self {
         i as u64
     }
-
-    fn index(self) -> usize {
-        self as usize
-    }
 }
 
-/// Pass one: the next-use index of each of the `n` accesses of `source`.
+/// Pass one: the next-use index of each of the `n` accesses of `source`,
+/// and the number of distinct lines they touch.
 ///
 /// One replay records each access's line ordinal (the rank of its line
 /// in first-touch order) in an array of exactly `n` entries. The ordinal
@@ -73,7 +79,7 @@ fn build_next_uses<I: NextUse, S: TraceSource + ?Sized>(
     source: &S,
     geometry: &Geometry,
     n: u64,
-) -> Vec<I> {
+) -> (Vec<I>, u64) {
     let mut next = vec![I::default(); usize::try_from(n).unwrap_or(usize::MAX)];
     let mut ordinals = LineMap::default();
     let mut lines = 0u64;
@@ -97,9 +103,9 @@ fn build_next_uses<I: NextUse, S: TraceSource + ?Sized>(
     drop(ordinals);
     let mut last = vec![I::NEVER; lines as usize];
     for (i, slot) in next.iter_mut().enumerate().rev() {
-        *slot = std::mem::replace(&mut last[slot.index()], I::from_index(i));
+        *slot = std::mem::replace(&mut last[slot.widen() as usize], I::from_index(i));
     }
-    next
+    (next, lines)
 }
 
 /// Per-access index of the *next* access to the same line (`u64::MAX`
@@ -107,7 +113,7 @@ fn build_next_uses<I: NextUse, S: TraceSource + ?Sized>(
 /// tests and the CHK1003 monotone-consistency validator.
 #[must_use]
 pub fn next_use_indices(trace: &[Access], config: &CacheConfig) -> Vec<u64> {
-    build_next_uses(trace, &Geometry::new(config), trace.len() as u64)
+    build_next_uses(trace, &Geometry::new(config), trace.len() as u64).0
 }
 
 /// Simulates `source` under Belady's optimal replacement (two streaming
@@ -144,45 +150,40 @@ fn replay_optimal<I: NextUse, S: TraceSource + ?Sized>(
     n: u64,
 ) -> CacheStats {
     let geometry = Geometry::new(&config);
-    let next = build_next_uses::<I, S>(source, &geometry, n);
+    let (next, lines) = build_next_uses::<I, S>(source, &geometry, n);
     crate::telemetry::record_trace_peak_bytes(n * std::mem::size_of::<I>() as u64);
-    let assoc = geometry.assoc;
     let mut ways = Ways::new(&geometry);
-    // Next use of each slot's resident (parallel to `ways`).
-    let mut next_use = vec![I::NEVER; geometry.lines()];
     let mut stats = CacheStats {
         line_bytes: config.line_bytes,
+        compulsory_misses: lines,
         ..CacheStats::default()
     };
-    let mut seen = LineSet::default();
 
     let mut i = 0usize;
     source.replay(&mut |acc| {
-        let ni = next[i];
+        let (now, ni) = (i as u64, next[i].widen());
         i += 1;
         stats.accesses += 1;
         let write = acc.is_write();
-        let line = geometry.line(acc.addr());
-        let base = geometry.base(line);
-        if let Some(slot) = ways.find(base, line) {
-            next_use[slot] = ni;
-            ways.touch(slot, write);
+        let set = geometry.set(geometry.line(acc.addr()));
+        if let Some(slot) = ways.find(set, now) {
+            ways.touch(set, slot, write);
+            ways.retag(slot, ni);
             stats.hits += 1;
             return;
         }
-        count_miss(&mut stats, seen.insert(line), write);
-        let slot = match ways.free_slot(base) {
+        count_miss(&mut stats, false, write);
+        let slot = match ways.free_slot(set) {
             Some(slot) => slot,
             None => {
-                // The resident used farthest in the future; among ties
-                // the last way (the `max_by_key` rule). The running
-                // maximum stays in a register instead of being re-read.
-                let uses = &next_use[base..base + assoc];
-                let (mut victim, mut farthest) = (0, uses[0]);
-                for (w, &u) in uses.iter().enumerate().skip(1) {
-                    if u >= farthest {
+                // The resident used farthest in the future, ties to the last
+                // way (the `max_by_key` rule); the maximum stays in a register.
+                let tags = ways.set_tags(set);
+                let (mut victim, mut farthest) = (0, tags[0]);
+                for (w, &t) in tags.iter().enumerate().skip(1) {
+                    if t >= farthest {
                         victim = w;
-                        farthest = u;
+                        farthest = t;
                     }
                 }
                 // Optimal bypass: if the incoming line's next use is
@@ -190,17 +191,16 @@ fn replay_optimal<I: NextUse, S: TraceSource + ?Sized>(
                 // count the fill and a dead line, keep the set intact.
                 if ni >= farthest {
                     stats.evictions += 1;
-                    stats.dead_lines += u64::from(ni == I::NEVER);
+                    stats.dead_lines += u64::from(ni == NEVER_TAG);
                     stats.writebacks += u64::from(write);
                     return;
                 }
-                let slot = base + victim;
+                let slot = set * geometry.assoc + victim;
                 ways.evict(slot, &mut stats);
                 slot
             }
         };
-        ways.fill(slot, line, write);
-        next_use[slot] = ni;
+        ways.fill(set, slot, ni, write);
     });
     assert_eq!(
         i,
@@ -215,27 +215,87 @@ fn replay_optimal<I: NextUse, S: TraceSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LruCache;
+    use crate::source::{simulate_lru, KernelTrace};
+    use crate::trace::ExecutionModel;
+    use commorder_sparse::{traffic::Kernel, CsrMatrix};
+
+    const NEVER: u64 = u64::MAX;
 
     fn read(addr: u64) -> Access {
         Access::read(addr)
     }
 
-    fn tiny() -> CacheConfig {
+    /// `sets` sets of `ways` ways of `line_bytes` each.
+    fn config(sets: u64, ways: u32, line_bytes: u32) -> CacheConfig {
         CacheConfig {
-            capacity_bytes: 128,
-            line_bytes: 32,
-            associativity: 2,
+            capacity_bytes: sets * u64::from(ways * line_bytes),
+            line_bytes,
+            associativity: ways,
         }
     }
 
-    const NEVER: u64 = u64::MAX;
+    /// Two sets of two 32-byte ways: lines 0, 2 and 4 share set 0.
+    fn tiny() -> CacheConfig {
+        config(2, 2, 32)
+    }
+
+    /// Reads of the given 32-byte lines.
+    fn reads(lines: &[u64]) -> Vec<Access> {
+        lines.iter().map(|&line| read(line * 32)).collect()
+    }
+
+    /// Belady on `trace` with both next-use widths, which must agree.
+    fn belady(config: CacheConfig, trace: &[Access]) -> CacheStats {
+        let n = trace.len() as u64;
+        let narrow = replay_optimal::<u32, _>(config, trace, n);
+        let wide = replay_optimal::<u64, _>(config, trace, n);
+        assert_eq!(wide, narrow, "{config:?}");
+        narrow
+    }
+
+    /// Hits, fills, evictions and dead lines of reads of `lines` under
+    /// Belady.
+    fn outcome(config: CacheConfig, lines: &[u64]) -> [u64; 4] {
+        let s = belady(config, &reads(lines));
+        [s.hits, s.fills, s.evictions, s.dead_lines]
+    }
 
     #[test]
     fn next_use_links_same_line() {
         let trace = [read(0), read(64), read(4), read(0)];
-        let next = next_use_indices(&trace, &tiny());
-        assert_eq!(next, vec![2, NEVER, 3, NEVER]);
+        assert_eq!(next_use_indices(&trace, &tiny()), vec![2, NEVER, 3, NEVER]);
+        // The `u32` store costs four bytes per access.
+        let (next, lines): (Vec<u32>, _) = build_next_uses(&trace[..], &Geometry::new(&tiny()), 4);
+        let bytes = next.capacity() * std::mem::size_of::<u32>();
+        assert_eq!((bytes, lines), (4 * 4, 2));
+    }
+
+    #[test]
+    fn hits_the_last_touched_way() {
+        let s = belady(tiny(), &[read(0), read(4), Access::write(8)]);
+        assert_eq!([s.hits, s.fill_misses, s.writebacks], [2, 1, 1]);
+    }
+
+    #[test]
+    fn hits_a_way_after_the_last_touched_one_moved() {
+        // Each hit finds its line in the way its set did not touch last.
+        assert_eq!(outcome(tiny(), &[0, 2, 0, 2]), [2, 2, 0, 0]);
+    }
+
+    #[test]
+    fn a_bypassed_line_misses_again() {
+        // Line 4 is next used after lines 0 and 2, so it bypasses set 0;
+        // it misses again at its last use, and that bypass is dead.
+        assert_eq!(outcome(tiny(), &[0, 2, 4, 0, 2, 4]), [2, 4, 2, 1]);
+    }
+
+    #[test]
+    fn direct_mapped_and_fully_associative_sets() {
+        let lines = [0, 1, 4, 8, 1, 8, 4, 0];
+        // Four one-way sets: lines 0, 4 and 8 evict each other in set 0.
+        assert_eq!(outcome(config(4, 1, 32), &lines), [2, 6, 4, 4]);
+        // One three-way set: line 8 evicts line 0, whose return bypasses.
+        assert_eq!(outcome(config(1, 3, 32), &lines), [3, 5, 2, 2]);
     }
 
     /// Next uses by definition: the position of the first later access
@@ -258,11 +318,6 @@ mod tests {
         let mut rng = commorder_synth::rng::Rng::new(2024);
         let mut out = Vec::new();
         for line_bytes in [32u32, 48, 64] {
-            let config = CacheConfig {
-                capacity_bytes: 4 * 2 * u64::from(line_bytes),
-                line_bytes,
-                associativity: 2,
-            };
             let lb = u64::from(line_bytes);
             let top_line = ((1u64 << 63) - 1) / lb;
             for pool in [3, 40, 400] {
@@ -279,7 +334,7 @@ mod tests {
                         Access::new(addr, rng.gen_bool(0.3))
                     })
                     .collect();
-                out.push((config, trace));
+                out.push((config(4, 2, line_bytes), trace));
             }
         }
         let mut rounds = Vec::new();
@@ -300,22 +355,13 @@ mod tests {
             let geometry = Geometry::new(&config);
             let n = trace.len() as u64;
             let want = brute_force_next_uses(&trace, &config);
-            let wide: Vec<u64> = build_next_uses(&trace[..], &geometry, n);
-            let narrow: Vec<u32> = build_next_uses(&trace[..], &geometry, n);
+            let (wide, _): (Vec<u64>, _) = build_next_uses(&trace[..], &geometry, n);
+            let (narrow, _): (Vec<u32>, _) = build_next_uses(&trace[..], &geometry, n);
             assert_eq!(wide, want, "u64 build on {config:?}");
-            let widened: Vec<u64> = narrow
-                .iter()
-                .map(|&x| if x == u32::MAX { NEVER } else { u64::from(x) })
-                .collect();
-            assert_eq!(widened, want, "u32 build on {config:?}");
+            let narrow: Vec<u64> = narrow.into_iter().map(NextUse::widen).collect();
+            assert_eq!(narrow, want.iter().map(|x| x.widen()).collect::<Vec<_>>());
+            assert_eq!(belady(config, &trace), simulate_belady(config, &trace));
         }
-    }
-
-    #[test]
-    fn small_store_costs_four_bytes_per_access() {
-        let trace = [read(0), read(64), read(4), read(0)];
-        let next: Vec<u32> = build_next_uses(&trace[..], &Geometry::new(&tiny()), 4);
-        assert_eq!(next.capacity() * std::mem::size_of::<u32>(), 4 * 4);
     }
 
     /// A slice source whose `len_hint` is off by the given count.
@@ -347,101 +393,55 @@ mod tests {
     fn belady_beats_lru_on_anti_lru_pattern() {
         // Set 0 lines: 0, 64, 128. Pattern engineered so LRU thrashes but
         // the oracle keeps the frequently revisited line resident.
-        let mut trace = Vec::new();
-        for _ in 0..50 {
-            trace.push(read(0));
-            trace.push(read(64));
-            trace.push(read(128));
-        }
-        let cfg = tiny();
-        let mut lru = LruCache::new(cfg);
-        for &a in &trace {
-            lru.access(a);
-        }
-        let lru_stats = lru.finish();
-        let opt = simulate_belady(cfg, &trace);
-        assert!(
-            opt.misses() < lru_stats.misses(),
-            "belady {} vs lru {}",
-            opt.misses(),
-            lru_stats.misses()
-        );
+        let trace = reads(&[0, 2, 4].repeat(50));
+        let lru = simulate_lru(tiny(), &trace);
+        let opt = belady(tiny(), &trace);
+        assert!(opt.misses() < lru.misses(), "belady {opt:?} vs lru {lru:?}");
         // LRU with 2 ways on a cyclic 3-line pattern misses every access.
-        assert_eq!(lru_stats.hits, 0);
-        assert!(opt.hits > 0);
+        assert_eq!(lru.hits, 0);
     }
 
     #[test]
     fn belady_never_worse_than_lru() {
         // Pseudo-random mixed trace.
         let mut state = 12345u64;
-        let mut trace = Vec::new();
-        for _ in 0..5000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = (state >> 33) % 2048;
-            trace.push(Access::new(addr, state.is_multiple_of(7)));
-        }
-        let cfg = tiny();
-        let mut lru = LruCache::new(cfg);
-        for &a in &trace {
-            lru.access(a);
-        }
-        let lru_stats = lru.finish();
-        let opt = simulate_belady(cfg, &trace);
-        assert!(opt.misses() <= lru_stats.misses());
-        assert_eq!(opt.accesses, lru_stats.accesses);
+        let trace: Vec<Access> = (0..5000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                Access::new((state >> 33) % 2048, state.is_multiple_of(7))
+            })
+            .collect();
+        let lru = simulate_lru(tiny(), &trace);
+        let opt = belady(tiny(), &trace);
+        assert!(opt.misses() <= lru.misses());
+        assert_eq!(opt.accesses, lru.accesses);
         // Compulsory misses are policy independent.
-        assert_eq!(opt.compulsory_misses, lru_stats.compulsory_misses);
+        assert_eq!(opt.compulsory_misses, lru.compulsory_misses);
     }
 
     #[test]
     fn belady_matches_lru_on_streaming() {
         // Pure streaming: both policies take exactly the compulsory misses.
-        let trace: Vec<Access> = (0..512).map(|i| read(i * 32)).collect();
-        let cfg = tiny();
-        let mut lru = LruCache::new(cfg);
-        for &a in &trace {
-            lru.access(a);
-        }
-        let lru_stats = lru.finish();
-        let opt = simulate_belady(cfg, &trace);
-        assert_eq!(opt.misses(), lru_stats.misses());
-        assert_eq!(opt.misses(), 512);
+        let trace = reads(&(0..512).collect::<Vec<_>>());
+        let lru = simulate_lru(tiny(), &trace);
+        assert_eq!((belady(tiny(), &trace).misses(), lru.misses()), (512, 512));
     }
 
     #[test]
     fn streaming_source_matches_slice_source() {
         // The same stats must come out whether the source is an
         // in-memory slice or a regenerating kernel-trace source.
-        use crate::source::{KernelTrace, TraceSource};
-        use commorder_sparse::traffic::Kernel;
-        let a = commorder_sparse::CsrMatrix::new(
-            4,
-            4,
-            vec![0, 1, 3, 4, 4],
-            vec![1, 0, 2, 1],
-            vec![1.0; 4],
-        )
-        .unwrap();
-        let source = KernelTrace::new(
-            &a,
-            Kernel::SpmvCsr,
-            crate::trace::ExecutionModel::Sequential,
-        );
+        let a = CsrMatrix::new(4, 4, vec![0, 1, 3, 4, 4], vec![1, 0, 2, 1], vec![1.0; 4]).unwrap();
+        let source = KernelTrace::new(&a, Kernel::SpmvCsr, ExecutionModel::Sequential);
         let collected = source.collect_trace();
-        assert_eq!(
-            simulate_belady(tiny(), &source),
-            simulate_belady(tiny(), &collected)
-        );
+        assert_eq!(belady(tiny(), &collected), simulate_belady(tiny(), &source));
     }
 
     #[test]
     fn empty_trace() {
-        let empty: &[Access] = &[];
-        let s = simulate_belady(tiny(), empty);
-        assert_eq!(s.accesses, 0);
-        assert_eq!(s.dram_traffic_bytes(), 0);
+        let s = belady(tiny(), &[]);
+        assert_eq!((s.accesses, s.dram_traffic_bytes()), (0, 0));
     }
 }

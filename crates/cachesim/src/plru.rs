@@ -99,14 +99,14 @@ impl PlruCache {
         let line = self.geometry.line(access.addr());
         let set = self.geometry.set(line);
         let base = set * self.assoc;
-        if let Some(slot) = self.ways.find(base, line) {
-            self.ways.touch(slot, write);
+        if let Some(slot) = self.ways.find(set, line) {
+            self.ways.touch(set, slot, write);
             self.stats.hits += 1;
             self.touch(set, slot - base);
             return true;
         }
         count_miss(&mut self.stats, self.seen.insert(line), write);
-        let slot = match self.ways.free_slot(base) {
+        let slot = match self.ways.free_slot(set) {
             Some(slot) => slot,
             None => {
                 let slot = base + self.victim_of(set);
@@ -114,7 +114,7 @@ impl PlruCache {
                 slot
             }
         };
-        self.ways.fill(slot, line, write);
+        self.ways.fill(set, slot, line, write);
         self.touch(set, slot - base);
         false
     }

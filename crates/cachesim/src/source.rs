@@ -112,6 +112,13 @@ impl<'a> KernelTrace<'a> {
 }
 
 impl TraceSource for KernelTrace<'_> {
+    /// Exact for SpMV-CSR, SpMV-COO and SpMM-CSR; `None` for the tiled,
+    /// blocked and SpGEMM kernels, whose counts depend on more than the
+    /// matrix shape (see `trace::shape_access_count`).
+    fn len_hint(&self) -> Option<u64> {
+        crate::trace::shape_access_count(self.a, self.kernel)
+    }
+
     fn replay(&self, sink: &mut dyn FnMut(Access)) {
         for_each_access(self.a, self.kernel, self.model, sink);
     }

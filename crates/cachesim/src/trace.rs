@@ -27,6 +27,10 @@ use crate::layout::ArrayLayout;
 /// Tag bit marking a store; the remaining 63 bits hold the byte address.
 const WRITE_BIT: u64 = 1 << 63;
 
+/// Line size of the [`ArrayLayout`] kernel traces are generated on: a
+/// `k`-wide dense row costs one access per line it touches.
+const LAYOUT_LINE_BYTES: u32 = 32;
+
 /// One memory access of a kernel trace, packed into 8 bytes.
 ///
 /// Bit 63 is the read/write tag, bits 0..63 the byte address — traces at
@@ -127,7 +131,7 @@ pub fn for_each_access<F: FnMut(Access)>(
         }
         return;
     }
-    let layout = ArrayLayout::new(a, kernel, 32);
+    let layout = ArrayLayout::new(a, kernel, LAYOUT_LINE_BYTES);
     // Under `strict-checks` every emitted access is audited against the
     // operand address space: element-aligned and below `layout.end`.
     let end = layout.end;
@@ -176,6 +180,32 @@ pub fn for_each_access<F: FnMut(Access)>(
                 _ => interleave(a, kernel, &layout, streams as usize, &mut sink),
             }
         }
+    }
+}
+
+/// Number of accesses [`for_each_access`] emits for `kernel` on `a`
+/// under either execution model, where the matrix shape fixes it:
+/// SpMV-CSR and SpMM-CSR emit a fixed set per row and per entry, SpMV-COO
+/// per entry, and interleaving only reorders them. `None` for the tiled
+/// kernel (a row's accesses in a tile depend on which of its columns
+/// fall there), the blocked kernel (an empty column skips its `X` read)
+/// and SpGEMM (the count follows the product's structure, which
+/// [`SpGemmTrace`](crate::spgemm::SpGemmTrace) hints itself).
+pub(crate) fn shape_access_count(a: &CsrMatrix, kernel: Kernel) -> Option<u64> {
+    let (rows, nnz) = (u64::from(a.n_rows()), a.nnz() as u64);
+    match kernel {
+        // Per row two offsets and the `Y` store; per entry coords,
+        // values and `X`.
+        Kernel::SpmvCsr => Some(3 * (rows + nnz)),
+        // Per entry row, coords, values, `X` and the `Y` accumulate.
+        Kernel::SpmvCoo => Some(5 * nnz),
+        // Per row two offsets and the lines of `C`'s row; per entry
+        // coords, values and the lines of `B`'s row.
+        Kernel::SpmmCsr { k } => {
+            let lines = u64::from(k).div_ceil(u64::from(LAYOUT_LINE_BYTES) / ELEM_BYTES);
+            Some((2 + lines) * (rows + nnz))
+        }
+        _ => None,
     }
 }
 
@@ -309,7 +339,7 @@ fn blocked_accesses<F: FnMut(Access)>(
 
     // Phase 1: CSC stream + bin scatter (bin writes are streaming within
     // each bin's segment).
-    for c in 0..n {
+    for c in 0..csc.n_rows() {
         sink(Access::read(ArrayLayout::elem(
             layout.row_offsets,
             u64::from(c),
@@ -338,7 +368,7 @@ fn blocked_accesses<F: FnMut(Access)>(
     // Phase 2: drain bins, accumulate into bounded Y ranges. Re-walk the
     // CSC in bin-major order to recover each bin's destination rows.
     let mut bin_rows: Vec<Vec<u32>> = vec![Vec::new(); bins as usize];
-    for c in 0..n {
+    for c in 0..csc.n_rows() {
         let (rows, _) = csc.row(c);
         for &r in rows {
             bin_rows[(r / rows_per_bin) as usize].push(r);

@@ -2,8 +2,9 @@
 //! fixed set of sources.
 //!
 //! The rows cover each way the oracle learns the trace length: kernel
-//! traces without a `len_hint` (SpMV-CSR on three mini-tier corpus
-//! matrices, sequential and interleaved), an SpGEMM trace whose
+//! traces with their `len_hint` withheld, so a counting replay finds it
+//! (SpMV-CSR on three mini-tier corpus matrices, sequential), the same
+//! kind of trace with its exact hint (interleaved), an SpGEMM trace whose
 //! `len_hint` is exact, and an in-memory slice. The values were recorded
 //! from the forward-patching next-use build that preceded the backward
 //! in-place one, so a change to either pass that moves one eviction,
@@ -58,6 +59,15 @@ fn stats(f: [u64; 9]) -> CacheStats {
     }
 }
 
+/// A source that replays its inner one but gives no `len_hint`.
+struct Unhinted<S>(S);
+
+impl<S: TraceSource> TraceSource for Unhinted<S> {
+    fn replay(&self, sink: &mut dyn FnMut(Access)) {
+        self.0.replay(sink);
+    }
+}
+
 fn check(name: &str, source: &dyn TraceSource, want: CacheStats) {
     let got = simulate_belady(CacheConfig::test_scale(), source);
     assert_eq!(got, want, "{name}");
@@ -67,9 +77,12 @@ fn check(name: &str, source: &dyn TraceSource, want: CacheStats) {
 fn spmv_csr_sequential_on_mini_corpus_entries() {
     let sequential = |name: &str, want: CacheStats| {
         let a = mini(name);
-        let source = KernelTrace::new(&a, Kernel::SpmvCsr, ExecutionModel::Sequential);
+        let hinted = KernelTrace::new(&a, Kernel::SpmvCsr, ExecutionModel::Sequential);
+        assert_eq!(hinted.len_hint(), Some(want.accesses), "{name}");
+        let source = Unhinted(hinted);
         assert_eq!(source.len_hint(), None, "exercises the counting replay");
         check(name, &source, want);
+        check(name, &hinted, want);
     };
     sequential(
         "mini-rmat",
