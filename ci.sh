@@ -204,10 +204,4 @@ echo "== strict-checks feature"
 cargo test -q -p commorder-sparse -p commorder-cachesim -p commorder \
   --features commorder-sparse/strict-checks,commorder-cachesim/strict-checks,commorder/strict-checks
 
-echo "== bench smoke (in-tree microbenches, fast mode)"
-# Runs every microbench once at reduced size. benches/trace_stream.rs
-# asserts the 8 B/access Belady next-use bound here, so the bound is
-# gated locally and not only in the hosted workflow.
-COMMORDER_BENCH_FAST=1 cargo bench -q -p commorder-bench
-
 echo "ci: all gates passed"

@@ -18,8 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod microbench;
-
 use commorder::prelude::*;
 use commorder::synth::corpus::{self, CorpusEntry};
 

@@ -6,8 +6,8 @@
 //! itself: the simulation replays a [`TraceSource`]. Pass one takes the
 //! access count `n` from [`TraceSource::len_hint`] (or one counting
 //! replay), allocates exactly `n` next-use entries (`u32`, or `u64` past
-//! 4 Gi accesses — at most 8 bytes per access, the bound the
-//! `trace_stream` microbench pins), records each access's dense line
+//! 4 Gi accesses — at most 8 bytes per access, the bound
+//! `tests/trace_peak.rs` pins), records each access's dense line
 //! ordinal in them, and rewrites the array backward in place into
 //! next-use indices; the ordinal count is the compulsory-miss count.
 //! Pass two tags each resident with its next use, the index of its

@@ -16,7 +16,7 @@ use commorder_sparse::{traffic::Kernel, CsrMatrix, ELEM_BYTES};
 /// are unchanged by the two-operand extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayLayout {
-    /// CSR `rowOffsets` (length `n + 1`).
+    /// CSR `rowOffsets` (length `n_rows + 1`, once per column tile).
     pub row_offsets: u64,
     /// CSR/COO column indices (`A.coords`, length `nnz`).
     pub coords: u64,
@@ -24,13 +24,13 @@ pub struct ArrayLayout {
     pub values: u64,
     /// COO row indices (length `nnz`).
     pub coo_rows: u64,
-    /// Dense input vector `X` (length `n`).
+    /// Dense input vector `X` (length `n_cols`).
     pub x: u64,
-    /// Dense output vector `Y` (length `n`).
+    /// Dense output vector `Y` (length `n_rows`).
     pub y: u64,
-    /// Dense input matrix `B` (row-major `n x k`).
+    /// Dense input matrix `B` (row-major `n_cols x k`).
     pub b: u64,
-    /// Dense output matrix `C` (row-major `n x k`).
+    /// Dense output matrix `C` (row-major `n_rows x k`).
     pub c: u64,
     /// Propagation-blocking bin storage (`2·nnz` elements: destination
     /// row + partial value per non-zero).
@@ -75,6 +75,7 @@ impl ArrayLayout {
     #[must_use]
     pub fn for_pair(a: &CsrMatrix, b: &CsrMatrix, kernel: Kernel, line_bytes: u32) -> Self {
         let n = u64::from(a.n_rows());
+        let n_cols = u64::from(a.n_cols());
         let nnz = a.nnz() as u64;
         let k = match kernel {
             Kernel::SpmmCsr { k } => u64::from(k),
@@ -93,14 +94,15 @@ impl ArrayLayout {
             cursor = align(cursor + elems * ELEM_BYTES);
             base
         };
-        // Tiled kernels carry one offsets array per tile.
-        let row_offsets = region(kernel.tiles(n) * (n + 1));
+        // Tiled kernels carry one offsets array per column tile.
+        let row_offsets = region(kernel.tiles(n_cols) * (n + 1));
         let coords = region(nnz);
         let values = region(nnz);
         let coo_rows = region(nnz);
-        let x = region(n);
+        // Gathered operands are indexed by column, outputs by row.
+        let x = region(n_cols);
         let y = region(n);
-        let b_dense = region(n * k);
+        let b_dense = region(n_cols * k);
         let c_dense = region(n * k);
         let bins = region(2 * nnz);
         // Two-operand SpGEMM regions (zero-sized for other kernels; a
@@ -188,6 +190,20 @@ mod tests {
     #[test]
     fn elem_addressing_is_4_bytes() {
         assert_eq!(ArrayLayout::elem(64, 3), 64 + 12);
+    }
+
+    #[test]
+    fn wide_matrix_gathers_stay_below_the_output_regions() {
+        // 2 x 40: `X` holds 40 elements and `B` 40 rows of `k`, not 2.
+        let a = CsrMatrix::new(2, 40, vec![0, 1, 2], vec![39, 0], vec![1.0, 1.0]).unwrap();
+        let n_cols = u64::from(a.n_cols());
+        let l = ArrayLayout::new(&a, Kernel::SpmvCsr, 32);
+        assert!(ArrayLayout::elem(l.x, n_cols - 1) + ELEM_BYTES <= l.y);
+        let l = ArrayLayout::new(&a, Kernel::SpmmCsr { k: 4 }, 32);
+        assert!(ArrayLayout::elem(l.b, n_cols * 4 - 1) + ELEM_BYTES <= l.c);
+        // Five 8-column tiles, each with its own 3-entry offsets array.
+        let l = ArrayLayout::new(&a, Kernel::SpmvCsrTiled { tile_cols: 8 }, 32);
+        assert!(ArrayLayout::elem(l.row_offsets, 5 * 3 - 1) + ELEM_BYTES <= l.coords);
     }
 
     #[test]

@@ -61,9 +61,8 @@ fn hints_match_replays_on_degenerate_shapes() {
         vec![1.0; 5],
     );
     check_hints("empty rows", &holes.unwrap());
-    // Rectangular, and tall: `ArrayLayout` sizes the `X` and `B` regions
-    // by the row count, so a wide matrix's gathers would run past them
-    // (out of the operand space under `strict-checks`).
+    // Rectangular both ways: `ArrayLayout` sizes `X` and `B` by the
+    // column count and `Y` and `C` by the row count.
     let tall = CsrMatrix::new(
         6,
         2,
@@ -72,4 +71,8 @@ fn hints_match_replays_on_degenerate_shapes() {
         vec![1.0; 4],
     );
     check_hints("6x2", &tall.unwrap());
+    let wide = CsrMatrix::new(2, 7, vec![0, 2, 3], vec![0, 6, 3], vec![1.0; 3]);
+    check_hints("2x7", &wide.unwrap());
+    let wider = CsrMatrix::new(2, 40, vec![0, 2, 5], vec![0, 39, 17, 20, 39], vec![1.0; 5]);
+    check_hints("2x40", &wider.unwrap());
 }

@@ -21,7 +21,7 @@ use commorder_cachesim::trace::ExecutionModel;
 use commorder_cachesim::{CacheStats, LruCache, TraceSource};
 use commorder_gpumodel::GpuSpec;
 use commorder_obs as obs;
-use commorder_reorder::{Rabbit, ReorderContext, Reordering};
+use commorder_reorder::{Rabbit, Reordering};
 use commorder_sparse::traffic::Kernel;
 use commorder_sparse::{CsrMatrix, Permutation, SparseError};
 
@@ -312,8 +312,8 @@ impl Pipeline {
     /// The SpGEMM kernels simulate the corpus-default self-multiply
     /// `A·A`; [`Kernel::SpGemmClusterWise`] detects the RABBIT community
     /// assignment of `matrix` (a serial, thread-count-independent pass)
-    /// and executes the rows of each community as a block. Use
-    /// [`Pipeline::simulate_pair`] for an explicit `(A, B)` pair.
+    /// and executes the rows of each community as a block. An explicit
+    /// `(A, B)` pair is traced with [`SpGemmTrace::new`].
     #[must_use]
     pub fn simulate(&self, matrix: &CsrMatrix) -> KernelRun {
         if self.kernel.is_spgemm() {
@@ -346,54 +346,11 @@ impl Pipeline {
                 // A non-square matrix cannot self-multiply: the trace is
                 // empty (matching `for_each_access`) and the metrics
                 // fall back to the shape-only compulsory bound.
-                // Explicit pairs go through `simulate_pair`, which
-                // surfaces the error instead.
+                // `SpGemmTrace::new` on an explicit pair surfaces the
+                // error instead.
                 self.run_from_stats(matrix, LruCache::new(self.gpu.l2).finish())
             }
         }
-    }
-
-    /// Simulates the configured SpGEMM kernel on an explicit operand
-    /// pair `C = A·B`. For [`Kernel::SpGemmClusterWise`] with a square
-    /// `A`, the row clustering is the RABBIT community assignment of
-    /// `A`; rectangular left operands execute in natural row order.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseError::DimensionMismatch`] when the configured kernel is
-    /// not an SpGEMM kernel or `a.n_cols() != b.n_rows()`; propagates
-    /// community-detection errors.
-    pub fn simulate_pair(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<KernelRun, SparseError> {
-        let assignment = if self.kernel == Kernel::SpGemmClusterWise && a.is_square() {
-            Some(Rabbit::new().run(a)?.assignment)
-        } else {
-            None
-        };
-        self.simulate_pair_clustered(a, b, assignment.as_deref())
-    }
-
-    /// [`Pipeline::simulate_pair`] with a caller-provided row clustering
-    /// (e.g. a community assignment already computed by a reordering
-    /// pass), bypassing the built-in RABBIT detection.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::simulate_pair`], plus
-    /// [`SparseError::DimensionMismatch`] when the assignment length is
-    /// not `a.n_rows()`.
-    pub fn simulate_pair_clustered(
-        &self,
-        a: &CsrMatrix,
-        b: &CsrMatrix,
-        assignment: Option<&[u32]>,
-    ) -> Result<KernelRun, SparseError> {
-        let _span = obs::span!("pipeline.spgemm");
-        let source = SpGemmTrace::new(a, b, self.kernel, assignment)?;
-        obs::gauge!("pipeline.spgemm_acc_peak", source.accumulator_peak() as f64);
-        let compulsory_bytes = self.kernel.compulsory_bytes_pair(a, b)?;
-        let stats = self.consume_source(&source);
-        let _span = obs::span!("pipeline.model");
-        Ok(self.run_from_compulsory(compulsory_bytes, stats))
     }
 
     /// Streams `source` through the configured replacement policy (with
@@ -432,13 +389,6 @@ impl Pipeline {
             matrix.n_rows(),
             matrix.nnz()
         );
-        self.run_from_compulsory(compulsory_bytes, stats)
-    }
-
-    /// Traffic/time metrics from a precomputed compulsory-traffic figure
-    /// (the workload-agnostic core shared by the one- and two-operand
-    /// paths).
-    fn run_from_compulsory(&self, compulsory_bytes: u64, stats: CacheStats) -> KernelRun {
         let dram_bytes = stats.dram_traffic_bytes();
         KernelRun {
             stats,
@@ -465,23 +415,7 @@ impl Pipeline {
         matrix: &CsrMatrix,
         technique: &dyn Reordering,
     ) -> Result<Evaluation, SparseError> {
-        self.evaluate_with(matrix, technique, &ReorderContext::serial(0xC0DE))
-    }
-
-    /// [`Pipeline::evaluate`] with an execution context, handed to the
-    /// technique's [`Reordering::reorder_with`]. The evaluation is
-    /// byte-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reordering/permutation errors (non-square input).
-    pub fn evaluate_with(
-        &self,
-        matrix: &CsrMatrix,
-        technique: &dyn Reordering,
-        cx: &ReorderContext<'_>,
-    ) -> Result<Evaluation, SparseError> {
-        let permutation = technique.reorder_with(matrix, cx)?;
+        let permutation = technique.reorder(matrix)?;
         commorder_sparse::debug_validate!(
             permutation.len() == matrix.n_rows() as usize,
             "{}: permutation length {} does not match n = {}",
@@ -684,22 +618,6 @@ mod tests {
         let eval = p.evaluate(&m, &Rabbit::new()).unwrap();
         assert_eq!(eval.technique, "RABBIT");
         assert!(eval.run.dram_bytes > 0);
-    }
-
-    #[test]
-    fn simulate_pair_rejects_bad_configurations() {
-        let m = strong_community_matrix();
-        let rect = CsrMatrix::new(1, 2, vec![0, 1], vec![1], vec![1.0]).unwrap();
-        let p = spgemm_pipeline(Kernel::SpGemmGustavson);
-        assert!(p.simulate_pair(&m, &rect).is_err(), "shape mismatch");
-        assert!(
-            Pipeline::new(GpuSpec::test_scale())
-                .simulate_pair(&m, &m)
-                .is_err(),
-            "pair simulation requires an SpGEMM kernel"
-        );
-        let pair = p.simulate_pair(&m, &m).unwrap();
-        assert_eq!(pair, p.simulate(&m), "explicit self-pair matches simulate");
     }
 
     #[test]
