@@ -10,24 +10,6 @@ cargo fmt --all --check
 echo "== xtask lint (token-stream static analysis, zero findings)"
 cargo run -q -p xtask -- lint
 
-echo "== analyzer JSON report validates (CHK1101)"
-# The machine-readable findings report must itself satisfy the schema
-# CHK1101 publishes: the findings envelope, and the callgraph and
-# effects sections opening where expected. A drifted or truncated
-# report would otherwise gate nothing. The contents of those two
-# sections are asserted on the in-memory report by
-# crates/analyze/tests/invariants.rs, which the tier-1 step runs.
-cargo run -q -p xtask -- lint --json > /tmp/commorder-lint.json
-cargo run -q -p commorder --bin commorder-cli -- check /tmp/commorder-lint.json
-
-echo "== CLI-surfaced analyze report matches xtask lint (analyze --source --json)"
-# The report consumers script against through the public CLI surface
-# must stay in lockstep with the xtask one: byte-identical to the
-# report the previous step validated.
-cargo run -q -p commorder --bin commorder-cli -- analyze --source --json \
-  > /tmp/commorder-analyze-cli.json
-cmp /tmp/commorder-lint.json /tmp/commorder-analyze-cli.json
-
 echo "== analyzer goldens are fresh (regenerate + git diff)"
 # The byte-frozen fixtures must match what the current analyzer emits;
 # an analyzer change that forgets to re-freeze its goldens fails here,

@@ -1,7 +1,6 @@
 //! Findings and reports produced by the analysis passes.
 //!
-//! The JSON rendering is the contract checked by `commorder-check`'s
-//! `CHK1101` validator and compared byte-for-byte against the golden
+//! The JSON rendering is compared byte-for-byte against the golden
 //! fixtures, so its field order, escaping, and layout are stable.
 
 use std::fmt::Write as _;

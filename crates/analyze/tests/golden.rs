@@ -3,10 +3,10 @@
 //!
 //! The fixtures under `fixtures/analyze/` are miniature workspaces that
 //! deliberately violate one rule family each; the goldens under
-//! `fixtures/analyze/golden/` were frozen from `commorder-cli analyze
-//! --source <fixture> --json`. A byte-exact comparison pins message
-//! wording, sort order, anchors, and the JSON framing all at once — the
-//! same framing the `CHK1101` validator in `commorder-check` audits.
+//! `fixtures/analyze/golden/` were frozen from
+//! `analyze_workspace(<fixture>, ..).render_json()`. A byte-exact
+//! comparison pins message wording, sort order, anchors, and the JSON
+//! framing all at once.
 //! The structural invariants of the callgraph and effects sections are
 //! asserted on the in-memory report in `invariants.rs`.
 

@@ -6,8 +6,8 @@
 //! sections is asserted here on the structs themselves: over the
 //! self-host workspace, over every fixture workspace under
 //! `fixtures/analyze/`, and against one seeded corruption per invariant
-//! family to prove the checker can fail. The report validator in
-//! `commorder-check` (`CHK1101`) only pins where the sections open.
+//! family to prove the checker can fail. The report's framing is
+//! pinned byte for byte by the goldens in `golden.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};

@@ -3,7 +3,7 @@
 //! Codes are grouped by hundreds per checked domain and are **append
 //! only**: a published code never changes meaning, so golden files and
 //! downstream tooling can match on them forever. A retired code (such
-//! as `CHK1102`/`CHK1103`) is deleted from the table and never reused.
+//! as `CHK1101`–`CHK1103`) is deleted from the table and never reused.
 //!
 //! | Range   | Domain                                  |
 //! |---------|-----------------------------------------|
@@ -17,7 +17,6 @@
 //! | CHK08xx | GPU specification                       |
 //! | CHK09xx | Telemetry JSONL streams                 |
 //! | CHK10xx | Streaming trace sources and next-use    |
-//! | CHK11xx | Analyzer (`XT`) findings reports        |
 //! | CHK12xx | Bench artifacts and profile invariants  |
 
 /// Offsets array has the wrong length (`n + 1` expected).
@@ -119,13 +118,6 @@ pub const STREAM_LENGTH: &str = "CHK1002";
 /// Belady next-use array is not monotone-consistent with its trace.
 pub const NEXT_USE: &str = "CHK1003";
 
-/// Analyzer findings report (`xtask lint --json` /
-/// `commorder-cli analyze --source --json`) violates the published
-/// schema: malformed JSON framing (including a missing or truncated
-/// `callgraph`/`effects` section), a bad field value, findings out of
-/// sorted order, or header counts that disagree with the finding list.
-pub const ANALYZE_SCHEMA: &str = "CHK1101";
-
 /// Bench artifact (`xtask bench`) violates the published
 /// `commorder-bench.v2` framing: bad header lines, a malformed machine
 /// object or fingerprint row, or an empty metric list.
@@ -184,7 +176,6 @@ pub const CODE_TABLE: &[&str] = &[
     STREAM_MISMATCH,
     STREAM_LENGTH,
     NEXT_USE,
-    ANALYZE_SCHEMA,
     BENCH_SCHEMA,
     BENCH_METRIC,
     SELF_TIME,

@@ -17,11 +17,9 @@
 //! * `.trace` — one access per line, `R <addr>` or `W <addr>` (decimal or
 //!   `0x` hex); optional directives `@line <bytes>` and `@end <bytes>`
 //!   set the sector size and the exclusive address bound,
-//! * `.json` — an analyzer findings report (`xtask lint --json`),
-//!   audited against the published schema by the `CHK1101` validator
-//!   in [`crate::analyze`]; files declaring the `commorder-bench`
-//!   schema route to the `CHK12xx` bench-artifact validator in
-//!   [`crate::bench`] instead,
+//! * `.json` — an `xtask bench` artifact, audited by the `CHK12xx`
+//!   bench-artifact validator in [`crate::bench`]; any other JSON
+//!   fails its schema check,
 //! * `.jsonl` — a `commorder-obs` telemetry stream, audited by the
 //!   `CHK09xx` validators in [`crate::telemetry`].
 
@@ -52,10 +50,7 @@ pub fn check_file_contents(name: &str, contents: &str) -> CheckReport {
         "csr" => report.extend(check_csr_dump(contents)),
         "perm" => report.extend(check_perm_file(contents)),
         "trace" => report.extend(check_trace_file(contents)),
-        "json" if contents.contains("\"commorder-bench") => {
-            report.extend(crate::bench::check_bench_artifact(contents));
-        }
-        "json" => report.extend(crate::analyze::check_analyze_report(contents)),
+        "json" => report.extend(crate::bench::check_bench_artifact(contents)),
         "jsonl" => report.extend(crate::telemetry::check_telemetry(contents)),
         other => report.extend(vec![parse_error(
             0,
@@ -342,13 +337,18 @@ mod tests {
     #[test]
     fn bench_artifacts_route_to_the_bench_validator() {
         let truncated = "{\n  \"schema\": \"commorder-bench.v2\",\n";
-        let r = check_file_contents("BENCH_pipeline.json", truncated);
-        assert!(!r.is_clean());
-        assert!(
-            r.codes().iter().all(|c| c.starts_with("CHK12")),
-            "{}",
-            r.render_text()
-        );
+        // Every `.json` is read as a bench artifact, so a findings
+        // report fails the bench schema.
+        let lint = "{\n  \"errors\": 0,\n  \"warnings\": 0,\n  \"findings\": [],\n  \"callgraph\": {}\n}\n";
+        for (name, contents) in [("BENCH_pipeline.json", truncated), ("lint.json", lint)] {
+            let r = check_file_contents(name, contents);
+            assert!(!r.is_clean(), "{name}");
+            assert!(
+                r.codes().iter().all(|c| c.starts_with("CHK12")),
+                "{name}: {}",
+                r.render_text()
+            );
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze;
 pub mod bench;
 pub mod codes;
 pub mod diag;
@@ -48,7 +47,6 @@ pub mod stream;
 pub mod telemetry;
 pub mod trace;
 
-pub use analyze::check_analyze_report;
 pub use bench::{check_bench_artifact, check_histogram_shape};
 pub use diag::{CheckReport, Diagnostic, Location, Severity};
 pub use ingest::check_file_contents;

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! commorder-cli analyze  <in.mtx>
-//! commorder-cli analyze  --source [ROOT] [--json]
 //! commorder-cli reorder  <in.mtx> <out.mtx> [technique]
 //! commorder-cli simulate <in.mtx> [technique] [kernel]
 //! commorder-cli spy      <in.mtx> [technique]
@@ -17,13 +16,6 @@
 //! `check` audits a data file (`.mtx`, `.csr`, `.perm`, `.trace`,
 //! telemetry `.jsonl`) against the workspace invariants and reports
 //! stable `CHK` diagnostics; the process exits non-zero when any
-//! error-severity finding is present.
-//!
-//! `analyze --source` runs the `commorder-analyze` token-stream source
-//! analyzer (the `xtask lint` backend) over a workspace checkout —
-//! `ROOT` defaults to the current directory — and prints the findings
-//! as text or (`--json`) as the machine-readable report the `CHK1101`
-//! validator understands; the process exits non-zero when any
 //! error-severity finding is present.
 //!
 //! `suite --telemetry <path>` streams structured telemetry (span
@@ -57,7 +49,7 @@ static COUNTING_ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  commorder-cli analyze  <in.mtx>\n  commorder-cli analyze  --source [ROOT] [--json]\n  commorder-cli reorder  <in.mtx> <out.mtx> [technique]\n  commorder-cli simulate <in.mtx> [technique] [kernel]\n  commorder-cli spy      <in.mtx> [technique]\n  commorder-cli advise   <in.mtx>\n  commorder-cli check    <file> [--json]   (.mtx | .csr | .perm | .trace | .jsonl)\n  commorder-cli corpus [export <dir> | stats <name>]\n  commorder-cli suite [--threads N] [--corpus mini|standard|mega] [--techniques LIST] [--kernels LIST] [--max-matrices N] [--only NAME] [--json PATH|-] [--telemetry PATH] [--list]\n  commorder-cli profile [--top N] [--flame PATH] [suite flags]\n\ntechniques: {}\nkernels: {}\n\nsuite runs the full paper grid (corpus x 7 orderings x SpMV-CSR) on the\nengine: one job queue, largest matrix first, one shared community\ndetection per matrix for the RABBIT family; --threads defaults to the machine's parallelism and\nthe JSON report is byte-identical for any thread count (--telemetry adds\na sidecar JSONL event stream without changing it). --techniques replaces\nthe paper suite with a comma-separated registry list (e.g.\nrabbit++,boba,rcm++); --kernels replaces the SpMV-CSR kernel axis (e.g.\nspgemm,spgemm-cluster — spgemm-cluster executes the rows of each RABBIT\ncommunity as a block); --corpus mega selects the streamed million-row\ntier. profile runs the same grid under the telemetry registry and prints\nthe phase tree plus the --top hottest (matrix, technique) cells;\n--flame writes the deterministic collapsed-stack (folded) flamegraph. suite\n--list prints the resolved grid without running it. corpus stats\ngenerates one entry (any tier) and prints its shape — CI runs it under\nulimit -v as the streamed-generation memory tripwire.",
+        "usage:\n  commorder-cli analyze  <in.mtx>\n  commorder-cli reorder  <in.mtx> <out.mtx> [technique]\n  commorder-cli simulate <in.mtx> [technique] [kernel]\n  commorder-cli spy      <in.mtx> [technique]\n  commorder-cli advise   <in.mtx>\n  commorder-cli check    <file> [--json]   (.mtx | .csr | .perm | .trace | .jsonl)\n  commorder-cli corpus [export <dir> | stats <name>]\n  commorder-cli suite [--threads N] [--corpus mini|standard|mega] [--techniques LIST] [--kernels LIST] [--max-matrices N] [--only NAME] [--json PATH|-] [--telemetry PATH] [--list]\n  commorder-cli profile [--top N] [--flame PATH] [suite flags]\n\ntechniques: {}\nkernels: {}\n\nsuite runs the full paper grid (corpus x 7 orderings x SpMV-CSR) on the\nengine: one job queue, largest matrix first, one shared community\ndetection per matrix for the RABBIT family; --threads defaults to the machine's parallelism and\nthe JSON report is byte-identical for any thread count (--telemetry adds\na sidecar JSONL event stream without changing it). --techniques replaces\nthe paper suite with a comma-separated registry list (e.g.\nrabbit++,boba,rcm++); --kernels replaces the SpMV-CSR kernel axis (e.g.\nspgemm,spgemm-cluster — spgemm-cluster executes the rows of each RABBIT\ncommunity as a block); --corpus mega selects the streamed million-row\ntier. profile runs the same grid under the telemetry registry and prints\nthe phase tree plus the --top hottest (matrix, technique) cells;\n--flame writes the deterministic collapsed-stack (folded) flamegraph. suite\n--list prints the resolved grid without running it. corpus stats\ngenerates one entry (any tier) and prints its shape — CI runs it under\nulimit -v as the streamed-generation memory tripwire.",
         TECHNIQUE_NAMES.join(" | "),
         KERNEL_NAMES.join(" | ")
     );
@@ -354,42 +346,6 @@ fn load(path: &str) -> Result<CsrMatrix, Box<dyn std::error::Error>> {
     Ok(CsrMatrix::try_from(coo)?)
 }
 
-/// `analyze --source [ROOT] [--json]`: the token-stream source
-/// analyzer over a workspace checkout. Exits non-zero on any
-/// error-severity finding, mirroring `cargo run -p xtask -- lint`.
-fn analyze_source(rest: &[String]) -> ExitCode {
-    let mut root = String::from(".");
-    let mut json = false;
-    for arg in rest {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if !other.starts_with('-') => root = other.to_string(),
-            other => {
-                eprintln!("error: unknown analyze --source flag {other:?}");
-                return usage();
-            }
-        }
-    }
-    let config = commorder::srclint::AnalyzerConfig::default();
-    let report = match commorder::srclint::analyze_workspace(std::path::Path::new(&root), &config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if report.errors() > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn analyze(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let m = load(path)?;
     println!(
@@ -551,9 +507,6 @@ fn list_corpus() {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
-        [cmd, flag, rest @ ..] if cmd == "analyze" && flag == "--source" => {
-            return analyze_source(rest)
-        }
         [cmd, input] if cmd == "analyze" => analyze(input),
         [cmd, input, output] if cmd == "reorder" => reorder(input, output, "rabbit++"),
         [cmd, input, output, technique] if cmd == "reorder" => reorder(input, output, technique),

@@ -15,8 +15,6 @@
 //! * [`obs`] — zero-dependency structured telemetry (span timers,
 //!   counters, JSONL/registry sinks) threaded through the pipeline,
 //!   engine and cache simulator,
-//! * [`srclint`] — the token-stream source analyzer behind
-//!   `xtask lint` and `commorder-cli analyze --source`,
 //!
 //! and adds the experiment plumbing: [`Pipeline`] (matrix → reorder →
 //! simulate → metrics), [`analysis`] helpers (insularity splits, means)
@@ -43,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use commorder_analyze as srclint;
 pub use commorder_cachesim as cachesim;
 pub use commorder_check as check;
 pub use commorder_exec as exec;

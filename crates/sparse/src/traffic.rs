@@ -135,18 +135,29 @@ impl Kernel {
     ///   `nnz(C)`, which is not a function of shape alone, so this
     ///   shape-only form is an input-stream *lower bound*;
     ///   [`Kernel::compulsory_bytes_pair`] adds the exact output term.
+    ///
+    /// This is the square case of the bound for a concrete matrix
+    /// ([`Kernel::compulsory_bytes_for`]), where `X` holds `n_cols`
+    /// elements, SpMM's `B` holds `n_cols·k`, and tiles split the
+    /// `n_cols` columns.
     #[must_use]
     pub fn compulsory_bytes(&self, n: u64, nnz: u64) -> u64 {
-        match *self {
-            Kernel::SpmvCsr => (2 * n + (n + 1) + 2 * nnz) * ELEM_BYTES,
-            Kernel::SpmvCoo => (2 * n + 3 * nnz) * ELEM_BYTES,
-            Kernel::SpmmCsr { k } => (2 * n * u64::from(k) + (n + 1) + 2 * nnz) * ELEM_BYTES,
-            Kernel::SpmvCsrTiled { .. } => (2 * n + self.tiles(n) * (n + 1) + 2 * nnz) * ELEM_BYTES,
-            Kernel::SpmvBlocked { .. } => (2 * n + (n + 1) + 2 * nnz + 4 * nnz) * ELEM_BYTES,
-            Kernel::SpGemmGustavson | Kernel::SpGemmClusterWise => {
-                (2 * (n + 1) + 4 * nnz) * ELEM_BYTES
-            }
-        }
+        self.compulsory_bytes_shaped(n, n, nnz)
+    }
+
+    /// Compulsory traffic for an `rows x cols` matrix: the gathered
+    /// operands (`X`, SpMM's `B`) are indexed by column and the outputs
+    /// by row, as in `ArrayLayout::for_pair`.
+    fn compulsory_bytes_shaped(&self, rows: u64, cols: u64, nnz: u64) -> u64 {
+        let elems = match *self {
+            Kernel::SpmvCsr => cols + rows + (rows + 1) + 2 * nnz,
+            Kernel::SpmvCoo => cols + rows + 3 * nnz,
+            Kernel::SpmmCsr { k } => (cols + rows) * u64::from(k) + (rows + 1) + 2 * nnz,
+            Kernel::SpmvCsrTiled { .. } => cols + rows + self.tiles(cols) * (rows + 1) + 2 * nnz,
+            Kernel::SpmvBlocked { .. } => cols + rows + (rows + 1) + 2 * nnz + 4 * nnz,
+            Kernel::SpGemmGustavson | Kernel::SpGemmClusterWise => 2 * (rows + 1) + 4 * nnz,
+        };
+        elems * ELEM_BYTES
     }
 
     /// Compulsory traffic for a concrete matrix. For the SpGEMM kernels
@@ -160,7 +171,7 @@ impl Kernel {
                 return bytes;
             }
         }
-        self.compulsory_bytes(u64::from(a.n_rows()), a.nnz() as u64)
+        self.compulsory_bytes_shaped(u64::from(a.n_rows()), u64::from(a.n_cols()), a.nnz() as u64)
     }
 
     /// Compulsory traffic for a concrete operand pair. For the SpGEMM
@@ -176,7 +187,7 @@ impl Kernel {
     /// has `a.n_cols() != b.n_rows()`.
     pub fn compulsory_bytes_pair(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<u64, SparseError> {
         if !self.is_spgemm() {
-            return Ok(self.compulsory_bytes(u64::from(a.n_rows()), a.nnz() as u64));
+            return Ok(self.compulsory_bytes_for(a));
         }
         let profile = crate::kernels::spgemm_profile(a, b)?;
         let read_a = u64::from(a.n_rows()) + 1 + 2 * a.nnz() as u64;
@@ -362,6 +373,15 @@ mod tests {
         assert_eq!(
             Kernel::SpmvCsr.compulsory_bytes_for(&m),
             Kernel::SpmvCsr.compulsory_bytes(2, 2)
+        );
+        // A 1x400 row gathering every 16th column: 2 offsets, 25 coords,
+        // 25 values, 400 `X` and 1 `Y` element.
+        let cols: Vec<u32> = (0..25).map(|i| 16 * i).collect();
+        let wide = CsrMatrix::new(1, 400, vec![0, 25], cols, vec![1.0; 25]).unwrap();
+        assert_eq!(Kernel::SpmvCsr.compulsory_bytes_for(&wide), 453 * 4);
+        assert_eq!(
+            Kernel::SpmvCsr.compulsory_bytes_pair(&wide, &wide),
+            Ok(453 * 4)
         );
     }
 

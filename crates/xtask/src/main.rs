@@ -354,7 +354,9 @@ fn run_bench_analyze(root: &Path) -> Result<BenchReport, String> {
 /// entry (`--quick`: a standard-tier social graph at 1/2 threads;
 /// full: the mega-tier k-mer chain at 1/2/8 threads). Permutations
 /// must be byte-identical across thread counts; their FNV-1a hashes
-/// become the report's result fingerprints.
+/// become the report's result fingerprints. On the full input RABBIT
+/// and RABBIT++ share a fingerprint, because the k-mer chain gives
+/// RABBIT++ no insular or hub work.
 fn run_bench_reorder(quick: bool) -> Result<BenchReport, String> {
     use commorder_exec::Engine;
     use commorder_reorder::{Boba, Rabbit, RabbitPlusPlus, ReorderContext, Reordering};
