@@ -154,8 +154,9 @@ echo "== streaming-memory tripwire (ulimit -v 256 MiB)"
 # Regression tripwire for reintroduced full-trace materialization: the
 # largest synth corpus matrix (soc-rmat-xl, ~6.2M accesses per SpMV
 # trace) runs the whole paper grid under a hard 256 MiB address-space
-# ceiling. The streaming pipeline peaks at ~200 MiB VSZ (measured with
-# MALLOC_ARENA_MAX=2 for a deterministic arena count), while holding
+# ceiling. The streaming pipeline peaks at ~152 MiB VSZ (VmPeak, 5 of 5
+# runs on a 2-vCPU Xeon with MALLOC_ARENA_MAX=2 for a deterministic
+# arena count), while holding
 # even one full Vec<Access> trace adds 48-71 MiB and aborts on
 # allocation failure. Uses the binary built by the tier-1 step; cargo
 # itself must stay outside the limited subshell.

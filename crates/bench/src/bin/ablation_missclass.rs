@@ -40,8 +40,13 @@ fn main() {
             let perm = ordering
                 .reorder(&case.matrix)
                 .expect("square corpus matrix");
-            let m = case.matrix.permute_symmetric(&perm).expect("validated");
-            let source = KernelTrace::new(&m, Kernel::SpmvCsr, ExecutionModel::Sequential);
+            let source = KernelTrace::relabelled(
+                &case.matrix,
+                &perm,
+                Kernel::SpmvCsr,
+                ExecutionModel::Sequential,
+            )
+            .expect("validated");
             let c = classify(harness.gpu.l2, &source);
             let total = c.accesses as f64;
             vec![

@@ -45,12 +45,9 @@ fn main() {
             let r = rabbit.run(&case.matrix).expect("square corpus matrix");
             let stats = CommunityStats::from_sizes(&r.dendrogram.community_sizes());
             let ins = quality::insularity(&case.matrix, &r.assignment).expect("validated");
-            let run = pipeline.simulate(
-                &case
-                    .matrix
-                    .permute_symmetric(&r.permutation)
-                    .expect("validated"),
-            );
+            let run = pipeline
+                .simulate_reordered(&case.matrix, &r.permutation)
+                .expect("validated");
             vec![
                 format!("{gamma:.2}"),
                 stats.count.to_string(),

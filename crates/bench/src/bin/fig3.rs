@@ -29,11 +29,9 @@ fn main() {
             .expect("square corpus matrix");
         let insularity = quality::insularity(&case.matrix, &result.assignment).expect("validated");
         let stats = CommunityStats::from_sizes(&result.dendrogram.community_sizes());
-        let reordered = case
-            .matrix
-            .permute_symmetric(&result.permutation)
+        let run = pipeline
+            .simulate_reordered(&case.matrix, &result.permutation)
             .expect("validated");
-        let run = pipeline.simulate(&reordered);
         Row {
             name: case.entry.name.to_string(),
             insularity,

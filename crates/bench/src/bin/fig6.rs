@@ -44,14 +44,10 @@ fn main() {
         // Mask non-zeros not incident to insular nodes, then apply the
         // insular-grouped order and simulate.
         let masked = ops::mask_incident(&case.matrix, &result.insular).expect("validated");
-        let reordered = masked
-            .permute_symmetric(&result.permutation)
+        let run = pipeline
+            .simulate_reordered(&masked, &result.permutation)
             .expect("validated");
-        (
-            insularity,
-            insular_frac,
-            pipeline.simulate(&reordered).traffic_ratio,
-        )
+        (insularity, insular_frac, run.traffic_ratio)
     });
     let mut ratios = Vec::new();
     for (case, &(insularity, insular_frac, traffic_ratio)) in cases.iter().zip(&rows) {

@@ -27,18 +27,12 @@ fn main() {
             .expect("square corpus matrix");
         let insularity =
             quality::insularity(&case.matrix, &rpp.rabbit.assignment).expect("validated");
-        let rabbit_run = pipeline.simulate(
-            &case
-                .matrix
-                .permute_symmetric(&rpp.rabbit.permutation)
-                .expect("validated"),
-        );
-        let rpp_run = pipeline.simulate(
-            &case
-                .matrix
-                .permute_symmetric(&rpp.permutation)
-                .expect("validated"),
-        );
+        let rabbit_run = pipeline
+            .simulate_reordered(&case.matrix, &rpp.rabbit.permutation)
+            .expect("validated");
+        let rpp_run = pipeline
+            .simulate_reordered(&case.matrix, &rpp.permutation)
+            .expect("validated");
         Row {
             name: case.entry.name.to_string(),
             insularity,

@@ -65,7 +65,7 @@ fn main() {
             let p = RandomOrder::new(harness.random_seed)
                 .reorder(&matrix)
                 .expect("square");
-            pipeline.simulate(&matrix.permute_symmetric(&p).expect("validated"))
+            pipeline.simulate_reordered(&matrix, &p).expect("validated")
         };
 
         let mut time_row = vec![n.to_string(), matrix.nnz().to_string()];
@@ -75,7 +75,9 @@ fn main() {
             let perm = technique.reorder(&matrix).expect("square");
             let seconds = start.elapsed().as_secs_f64();
             time_row.push(Table::seconds(seconds));
-            let run = pipeline.simulate(&matrix.permute_symmetric(&perm).expect("validated"));
+            let run = pipeline
+                .simulate_reordered(&matrix, &perm)
+                .expect("validated");
             let iters = pipeline.gpu().amortization_iterations(
                 pipeline.kernel(),
                 u64::from(matrix.n_rows()),

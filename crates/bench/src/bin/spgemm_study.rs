@@ -76,9 +76,11 @@ fn main() {
 
         // SpMV counterpart on the same matrix: published order vs
         // RABBIT-reordered, same LRU model via the pipeline.
-        let reordered = m.permute_symmetric(&result.permutation).expect("validated");
         let spmv_published = pipeline.simulate(m).dram_bytes;
-        let spmv_reordered = pipeline.simulate(&reordered).dram_bytes;
+        let spmv_reordered = pipeline
+            .simulate_reordered(m, &result.permutation)
+            .expect("validated")
+            .dram_bytes;
 
         Row {
             name: case.entry.name.to_string(),

@@ -91,7 +91,7 @@ impl<'a> SpGemmTrace<'a> {
             b,
             row_order,
             profile,
-            layout: ArrayLayout::for_pair(a, b, kernel, 32),
+            layout: ArrayLayout::for_pair(a, b, &profile, 32),
             accumulator_peak,
         })
     }

@@ -79,7 +79,7 @@ fn spmv_csr_sequential_on_mini_corpus_entries() {
         let a = mini(name);
         let hinted = KernelTrace::new(&a, Kernel::SpmvCsr, ExecutionModel::Sequential);
         assert_eq!(hinted.len_hint(), Some(want.accesses), "{name}");
-        let source = Unhinted(hinted);
+        let source = Unhinted(&hinted);
         assert_eq!(source.len_hint(), None, "exercises the counting replay");
         check(name, &source, want);
         check(name, &hinted, want);

@@ -232,10 +232,6 @@ pub const SPANS: &[SpanInfo] = &[
         help: "one grid job from dispatch to result",
     },
     SpanInfo {
-        name: "grid.permute",
-        help: "applying a computed permutation inside a grid job",
-    },
-    SpanInfo {
         name: "grid.reorder",
         help: "computing a reordering inside a grid job",
     },

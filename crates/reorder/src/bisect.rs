@@ -84,7 +84,7 @@ impl Reordering for Bisection {
                 found: "leaf_size == 0".to_string(),
             });
         }
-        let sym = ops::symmetrize(a)?;
+        let sym = ops::symmetric_pattern(a)?;
         let n = sym.n_rows();
         let mut order: Vec<u32> = Vec::with_capacity(n as usize);
         let mut in_set = vec![false; n as usize];

@@ -13,11 +13,12 @@
 //!
 //! The aggregation works on flat arrays: each aggregate's neighbours are
 //! its row of `A ∪ Aᵀ`, merged on demand from `a` (and `Aᵀ` unless `a`
-//! is its own mirror), then exact-size segments of `(neighbour, weight)`
-//! entries left by its own last visit and by the aggregates merged into
-//! it. A visit consolidates them through one reused slot table, so
-//! weights are summed in a fixed order (CSR order, then merge order) and
-//! a permutation depends only on the input matrix, real-valued or not.
+//! is its own mirror), then exact-size segments of 12-byte
+//! `(neighbour, weight)` entries left by its own last visit and by the
+//! aggregates merged into it. A visit consolidates them through one
+//! reused slot table, so weights are summed in a fixed order (CSR order,
+//! then merge order) and a permutation depends only on the input matrix,
+//! real-valued or not.
 
 use std::cmp::Ordering;
 
@@ -282,16 +283,19 @@ pub fn detect_with(
 ///
 /// A live aggregate `v`'s neighbours are its row of `sym`, read at its
 /// first visit (every vertex in `alive` is visited on the first sweep,
-/// so later sweeps never read it), then a chain of segments: `seg[w].0`
-/// holds the consolidated `(neighbour, weight)` entries of `w`'s last
-/// visit in an allocation of exactly their count, and `seg[w].1` links
-/// `v`'s own segment to those of the aggregates merged into it since, in
-/// merge order, up to `tail[v]`. Neighbour ids may be stale. A visit
-/// frees its chain as it consolidates it through the union-find into
-/// `scratch`, with `slot[r]` holding the scratch index of live neighbour
-/// `r` (`NONE` between visits), then stores its own segment and link.
-/// Each consolidated weight is therefore summed in CSR order and then
-/// merge order, independent of any hash seed.
+/// so later sweeps never read it), then a chain of segments: `seg[w]`
+/// holds the consolidated entries of `w`'s last visit in an allocation
+/// of exactly their count, and `link[w]` chains `v`'s own segment to
+/// those of the aggregates merged into it since, in merge order, up to
+/// `tail[v]`. Neighbour ids may be stale. A visit frees its chain as it
+/// consolidates it through the union-find into `scratch`, with `slot[r]`
+/// holding the scratch index of live neighbour `r` (`NONE` between
+/// visits), then stores its own segment and link. Each consolidated
+/// weight is therefore summed in CSR order and then merge order,
+/// independent of any hash seed.
+///
+/// A segment entry is a [`Packed`] neighbour and weight: 12 bytes, not
+/// the 16 an aligned `(u32, f64)` takes, with the weight's bits intact.
 fn aggregate(
     sym: &ops::UnionRows<'_>,
     mut alive: Vec<u32>,
@@ -301,7 +305,8 @@ fn aggregate(
 ) -> Vec<(u32, u32)> {
     let n = sym.n();
     let mut merges: Vec<(u32, u32)> = Vec::new();
-    let mut seg = vec![(Box::<[(u32, f64)]>::default(), NONE); n as usize];
+    let mut seg: Vec<Box<[Packed]>> = vec![Box::default(); n as usize];
+    let mut link: Vec<u32> = vec![NONE; n as usize];
     let mut tail: Vec<u32> = (0..n).collect();
     let mut slot: Vec<u32> = vec![NONE; n as usize];
     let mut scratch: Vec<(u32, f64)> = Vec::new();
@@ -359,11 +364,10 @@ fn aggregate(
             }
             let mut w = v;
             while w != NONE {
-                let (entries, next) = std::mem::take(&mut seg[w as usize]);
-                for &(nbr, x) in entries.iter() {
-                    add(nbr, x);
+                for &entry in std::mem::take(&mut seg[w as usize]).iter() {
+                    add(entry.0, unpack_weight(entry));
                 }
-                w = next;
+                w = std::mem::replace(&mut link[w as usize], NONE);
             }
             tail[v as usize] = v;
             // Best-gain neighbour; ties break to the smallest vertex ID.
@@ -383,7 +387,7 @@ fn aggregate(
             if let Some((u, _)) = best {
                 // Merge v into u: v's segment, minus u, ends u's chain.
                 scratch.retain(|&(r, _)| r != u);
-                seg[tail[u as usize] as usize].1 = v;
+                link[tail[u as usize] as usize] = v;
                 tail[u as usize] = v;
                 strength[u as usize] += strength[v as usize];
                 top[v as usize] = u;
@@ -393,7 +397,7 @@ fn aggregate(
                 // v stays live; its segment heads its own chain.
                 next_alive.push(v);
             }
-            seg[v as usize] = (scratch.as_slice().into(), NONE);
+            seg[v as usize] = scratch.iter().map(|&(r, w)| pack(r, w)).collect();
             scratch.clear();
         }
         std::mem::swap(&mut alive, &mut next_alive);
@@ -406,10 +410,32 @@ fn aggregate(
     merges
 }
 
+/// A segment entry: a neighbour id and the bits of its `f64` weight as
+/// two `u32` halves, so the entry is 4-byte aligned and 12 bytes long.
+type Packed = (u32, [u32; 2]);
+
+fn pack(nbr: u32, weight: f64) -> Packed {
+    let bits = weight.to_bits();
+    (nbr, [bits as u32, (bits >> 32) as u32])
+}
+
+fn unpack_weight((_, [lo, hi]): Packed) -> f64 {
+    f64::from_bits(u64::from(lo) | u64::from(hi) << 32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use commorder_sparse::CooMatrix;
+
+    #[test]
+    fn packed_entries_are_12_bytes_and_keep_every_weight_bit() {
+        assert_eq!(std::mem::size_of::<Packed>(), 12);
+        for w in [0.0, -0.0, 0.1, 1e-310, f64::MAX, -3.5, f64::MIN_POSITIVE] {
+            let back = unpack_weight(pack(7, w));
+            assert_eq!(back.to_bits(), w.to_bits(), "{w}");
+        }
+    }
     use commorder_synth::generators::PlantedPartition;
 
     /// Three 5-cliques linked in a chain by single inter-community edges —

@@ -189,7 +189,7 @@ impl Reordering for Gorder {
                 found: "window == 0".to_string(),
             });
         }
-        let sym = ops::symmetrize(a)?;
+        let sym = ops::symmetric_pattern(a)?;
         let n = sym.n_rows();
         if n == 0 {
             return Ok(Permutation::identity(0));

@@ -38,7 +38,10 @@ impl Reordering for LabelPropagation {
     }
 
     fn reorder(&self, a: &CsrMatrix) -> Result<Permutation, SparseError> {
-        let sym = ops::undirected(a)?;
+        // The pattern of `A ∪ Aᵀ`, read in place when `a` is its own
+        // mirror; the diagonal is skipped below, as `ops::undirected`
+        // would drop it.
+        let sym = ops::symmetric_pattern(a)?;
         let n = sym.n_rows();
         let mut label: Vec<u32> = (0..n).collect();
         let mut counts: HashMap<u32, u32> = HashMap::new();
@@ -46,21 +49,21 @@ impl Reordering for LabelPropagation {
             let mut changed = false;
             for v in 0..n {
                 let (neigh, _) = sym.row(v);
-                if neigh.is_empty() {
-                    continue;
-                }
                 counts.clear();
-                for &u in neigh {
+                for &u in neigh.iter().filter(|&&u| u != v) {
                     *counts.entry(label[u as usize]).or_insert(0) += 1;
                 }
                 // Most frequent label; ties toward the smallest label so
                 // the result is independent of HashMap iteration order.
-                let best = counts
+                // A vertex without neighbours keeps its label.
+                let Some(best) = counts
                     .iter()
                     .map(|(&l, &c)| (c, std::cmp::Reverse(l)))
                     .max()
                     .map(|(_, std::cmp::Reverse(l))| l)
-                    .expect("non-empty neighbourhood");
+                else {
+                    continue;
+                };
                 if best != label[v as usize] {
                     label[v as usize] = best;
                     changed = true;
@@ -105,6 +108,28 @@ mod tests {
         assert_eq!(block(1), block(2));
         assert_eq!(block(5), block(6));
         assert_eq!(block(6), block(7));
+    }
+
+    #[test]
+    fn self_loops_do_not_vote() {
+        // A mirrored path 0-1-2-3 with a self-loop on every vertex orders
+        // exactly as the loop-free path does.
+        let path = |loops: bool| {
+            let mut entries = vec![(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)];
+            entries.extend([(2, 3, 1.0), (3, 2, 1.0)]);
+            if loops {
+                entries.extend((0..4).map(|v| (v, v, 5.0)));
+            }
+            CsrMatrix::try_from(CooMatrix::from_entries(4, 4, entries).unwrap()).unwrap()
+        };
+        let lp = LabelPropagation::default();
+        assert_eq!(
+            lp.reorder(&path(true)).unwrap(),
+            lp.reorder(&path(false)).unwrap()
+        );
+        // A vertex whose only entry is its own loop keeps its label.
+        let lonely = CsrMatrix::new(2, 2, vec![0, 1, 1], vec![0], vec![1.0]).unwrap();
+        assert!(lp.reorder(&lonely).unwrap().is_identity());
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn rcm_order(
     a: &CsrMatrix,
     pick_start: impl Fn(&CsrMatrix, u32, &[bool]) -> u32,
 ) -> Result<Permutation, SparseError> {
-    let sym = ops::symmetrize(a)?;
+    let sym = ops::symmetric_pattern(a)?;
     let n = sym.n_rows();
     let degrees: Vec<u32> = (0..n).map(|v| sym.row_degree(v)).collect();
     let mut visited = vec![false; n as usize];

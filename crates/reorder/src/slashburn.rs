@@ -44,7 +44,7 @@ impl Reordering for SlashBurn {
                 found: format!("hub_fraction == {}", self.hub_fraction),
             });
         }
-        let sym = ops::symmetrize(a)?;
+        let sym = ops::symmetric_pattern(a)?;
         let n = sym.n_rows();
         let mut new_ids = vec![u32::MAX; n as usize];
         // `active[v]`: still part of the graph under consideration.

@@ -226,6 +226,40 @@ fn golden_and_parallel_permutations_on_signed_zero_mirror() {
     assert_golden_and_invariant_on("planted-signed-zero");
 }
 
+/// Golden fingerprints of the pattern-only reorderers, which read the
+/// pattern of `A ∪ Aᵀ`. The plain planted partition is its own mirror,
+/// so they read it in place; `planted-directed` and
+/// `planted-signed-zero` are not, so they read a materialized union.
+/// All three share one union pattern, hence one permutation each.
+const PATTERN_GOLDEN: &[(&str, u64)] = &[
+    ("GORDER", 0xE64E_B452_8C11_F09D),
+    ("RCM", 0xAF85_E136_B7F3_B935),
+    ("RCM++", 0xAF85_E136_B7F3_B935),
+    ("BISECTION", 0x5F61_365D_CC93_2071),
+    ("SLASHBURN", 0x9023_43E7_D82B_A909),
+    ("LABELPROP", 0xFB03_032C_3DCE_F725),
+];
+
+#[test]
+fn pattern_reorderers_give_golden_orders_in_place_and_on_a_copy() {
+    for (name, m, mirrored) in [
+        ("planted", planted(), true),
+        ("planted-directed", planted_directed(), false),
+        ("planted-signed-zero", planted_signed_zero(), false),
+    ] {
+        assert_eq!(ops::is_mirrored(&m), Ok(mirrored), "{name}");
+        for &(technique, want) in PATTERN_GOLDEN {
+            let t = commorder_reorder::technique_by_name(technique, SEED)
+                .unwrap_or_else(|| panic!("{technique} is registered"));
+            let got = fnv1a(t.reorder(&m).expect("square").as_slice());
+            assert_eq!(
+                got, want,
+                "{technique} permutation fingerprint drifted on {name} (got {got:#018x})"
+            );
+        }
+    }
+}
+
 #[test]
 fn the_transpose_path_inputs_are_not_their_own_mirrors() {
     for name in [

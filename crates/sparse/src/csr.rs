@@ -305,17 +305,16 @@ impl CsrMatrix {
                 .all(|(a, b)| (a - b).abs() <= f32::EPSILON * a.abs().max(b.abs()).max(1.0))
     }
 
-    /// Relabels rows and columns with `perm` (vertex `v` becomes
-    /// `perm.new_of(v)`), preserving the stored values.
-    ///
-    /// This is how every reordering technique in the paper is applied to a
-    /// matrix before running a kernel on it.
+    /// Checks that `perm` can relabel this matrix's rows and columns
+    /// together: the matrix is square and `perm` has one entry per row.
+    /// [`CsrMatrix::permute_symmetric`] and every reader that relabels
+    /// on the fly instead share this check.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] if the matrix is not
     /// square or `perm.len() != n_rows`.
-    pub fn permute_symmetric(&self, perm: &Permutation) -> Result<CsrMatrix, SparseError> {
+    pub fn check_symmetric_permutation(&self, perm: &Permutation) -> Result<(), SparseError> {
         if !self.is_square() {
             return Err(SparseError::DimensionMismatch {
                 expected: "square matrix".to_string(),
@@ -328,6 +327,21 @@ impl CsrMatrix {
                 found: format!("permutation of length {}", perm.len()),
             });
         }
+        Ok(())
+    }
+
+    /// Relabels rows and columns with `perm` (vertex `v` becomes
+    /// `perm.new_of(v)`), preserving the stored values.
+    ///
+    /// This is how every reordering technique in the paper is applied to a
+    /// matrix before running a kernel on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if the matrix is not
+    /// square or `perm.len() != n_rows`.
+    pub fn permute_symmetric(&self, perm: &Permutation) -> Result<CsrMatrix, SparseError> {
+        self.check_symmetric_permutation(perm)?;
         let inv = perm.inverse();
         let n = self.n_rows as usize;
         let mut row_offsets = Vec::with_capacity(n + 1);

@@ -7,10 +7,14 @@
 //! Rabbit Order and GOrder implementations do. Both materialize a
 //! [`UnionRows`] view, which merges row `r` of `A ∪ Aᵀ` on demand and
 //! builds no transpose when `a` is its own mirror ([`is_mirrored`]);
-//! community detection reads the view without materializing it.
+//! community detection reads the view without materializing it, and the
+//! pattern-only reorderers read a mirrored `a` in place
+//! ([`symmetric_pattern`]).
 //! [`mask_incident`] / [`mask_rows`] implement the paper's
 //! insular-sub-matrix experiment (Fig. 6: "evaluated by masking all
 //! non-zeros that do not connect to insular nodes").
+
+use std::borrow::Cow;
 
 use crate::{CsrMatrix, SparseError};
 
@@ -37,6 +41,27 @@ pub fn symmetrize(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
 /// [`SparseError::TooLarge`] if the union exceeds `u32` entries.
 pub fn undirected(a: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
     UnionRows::undirected(a)?.to_csr()
+}
+
+/// The pattern of [`symmetrize`]`(a)` for readers of columns and
+/// degrees only: `a` itself, borrowed, when it is its own mirror (see
+/// [`is_mirrored`]), and the materialized union otherwise. The mirror
+/// check is the one `symmetrize` runs anyway, so the borrowed path costs
+/// one read-only pass and no copy. Values on the borrowed path are `a`'s
+/// own, not the doubled sums `symmetrize` stores, so callers must not
+/// read them.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square and
+/// [`SparseError::TooLarge`] if the union exceeds `u32` entries.
+pub fn symmetric_pattern(a: &CsrMatrix) -> Result<Cow<'_, CsrMatrix>, SparseError> {
+    let union = UnionRows::symmetrize(a)?;
+    Ok(if union.is_mirrored() {
+        Cow::Borrowed(a)
+    } else {
+        Cow::Owned(union.to_csr()?)
+    })
 }
 
 /// `true` when the square matrix `a` equals its own transpose bit for
@@ -358,6 +383,28 @@ mod tests {
         // Self loop value doubles under A + Aᵀ.
         let (_, vals) = s.row(2);
         assert_eq!(vals, &[1.0, 18.0]);
+    }
+
+    #[test]
+    fn symmetric_pattern_borrows_a_mirror_and_copies_otherwise() {
+        let pattern = |m: &CsrMatrix| m.iter().map(|(r, c, _)| (r, c)).collect::<Vec<_>>();
+        // A mirrored input, diagonal included, comes back as itself.
+        let mirror = symmetrize(&directed_sample()).unwrap();
+        match symmetric_pattern(&mirror).unwrap() {
+            Cow::Borrowed(m) => assert!(std::ptr::eq(m, &mirror)),
+            Cow::Owned(_) => panic!("a mirrored input must not be copied"),
+        }
+        // Otherwise it is `symmetrize`'s pattern.
+        let directed = directed_sample();
+        let copied = symmetric_pattern(&directed).unwrap();
+        assert!(matches!(copied, Cow::Owned(_)));
+        assert_eq!(pattern(&copied), pattern(&symmetrize(&directed).unwrap()));
+        // Equal values with different bits are not a mirror.
+        let signed = CsrMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], vec![0.0, -0.0]).unwrap();
+        assert!(matches!(symmetric_pattern(&signed).unwrap(), Cow::Owned(_)));
+        assert!(
+            symmetric_pattern(&CsrMatrix::new(1, 2, vec![0, 0], vec![], vec![]).unwrap()).is_err()
+        );
     }
 
     #[test]

@@ -126,7 +126,8 @@ impl Kernel {
     /// * Tiled SpMV: as CSR SpMV, but each of the `t` tiles carries its
     ///   own offsets array (`t·(n+1)`) — tiling's unavoidable metadata
     ///   cost even at perfect locality.
-    /// * Blocked SpMV: phase 1 reads the CSC arrays (`(n+1) + 2·nnz`)
+    /// * Blocked SpMV: phase 1 reads the CSC arrays (`(n+1) + 2·nnz`,
+    ///   with one offset per column)
     ///   plus streaming `X` (`n`) and writes `2·nnz` bin elements;
     ///   phase 2 reads the `2·nnz` bin elements back and writes `Y`
     ///   (`n`) — blocking's 4·nnz streamed-element toll.
@@ -154,7 +155,7 @@ impl Kernel {
             Kernel::SpmvCoo => cols + rows + 3 * nnz,
             Kernel::SpmmCsr { k } => (cols + rows) * u64::from(k) + (rows + 1) + 2 * nnz,
             Kernel::SpmvCsrTiled { .. } => cols + rows + self.tiles(cols) * (rows + 1) + 2 * nnz,
-            Kernel::SpmvBlocked { .. } => cols + rows + (rows + 1) + 2 * nnz + 4 * nnz,
+            Kernel::SpmvBlocked { .. } => cols + rows + (cols + 1) + 2 * nnz + 4 * nnz,
             Kernel::SpGemmGustavson | Kernel::SpGemmClusterWise => 2 * (rows + 1) + 4 * nnz,
         };
         elems * ELEM_BYTES
@@ -382,6 +383,14 @@ mod tests {
         assert_eq!(
             Kernel::SpmvCsr.compulsory_bytes_pair(&wide, &wide),
             Ok(453 * 4)
+        );
+        // The blocked kernel reads the CSC arrays: 401 column offsets,
+        // 25 rows and 25 values, 400 `X`, 1 `Y` and 4·25 bin elements.
+        let blocked = Kernel::SpmvBlocked { bins: 2 };
+        assert_eq!(blocked.compulsory_bytes_for(&wide), 952 * 4);
+        assert_eq!(
+            blocked.compulsory_bytes_for(&m),
+            blocked.compulsory_bytes(2, 2)
         );
     }
 

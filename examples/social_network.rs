@@ -43,8 +43,8 @@ fn main() -> Result<(), commorder::sparse::SparseError> {
 
         let rpp = RabbitPlusPlus::new().run(&matrix)?;
         let insularity = quality::insularity(&matrix, &rpp.rabbit.assignment)?;
-        let rabbit_run = pipeline.simulate(&matrix.permute_symmetric(&rpp.rabbit.permutation)?);
-        let rpp_run = pipeline.simulate(&matrix.permute_symmetric(&rpp.permutation)?);
+        let rabbit_run = pipeline.simulate_reordered(&matrix, &rpp.rabbit.permutation)?;
+        let rpp_run = pipeline.simulate_reordered(&matrix, &rpp.permutation)?;
         table.add_row(vec![
             format!("{a_quadrant:.2}"),
             Table::percent(skew_top10(&matrix)),
