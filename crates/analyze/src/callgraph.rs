@@ -1344,7 +1344,7 @@ struct Tables<'a> {
     /// `name` → free functions anywhere in the workspace.
     free_global: BTreeMap<&'a str, Vec<usize>>,
     /// `(impl type, method)` → methods — the only way a method call
-    /// binds.
+    /// binds. Inherent methods shadow same-named trait methods.
     by_type_method: BTreeMap<(&'a str, &'a str), Vec<usize>>,
     /// `(trait, method)` → implementors, plus trait default methods.
     trait_methods: BTreeMap<(String, String), Vec<usize>>,
@@ -1404,6 +1404,13 @@ impl<'a> Tables<'a> {
                         .or_default()
                         .push(i);
                 }
+            }
+        }
+        // Rust binds an inherent method before a trait method of the
+        // same name, so where a type has both only the inherent ones bind.
+        for c in t.by_type_method.values_mut() {
+            if c.iter().any(|&i| nodes[i].impl_trait.is_none()) {
+                c.retain(|&i| nodes[i].impl_trait.is_none());
             }
         }
         t

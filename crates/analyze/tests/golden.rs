@@ -91,7 +91,9 @@ fn collision_fixture_matches_golden() {
 /// The collision fixture must resolve the typed receiver to exactly
 /// one `width`: a bare-name binding would add a false `Coo::width`
 /// edge and bump `ambiguous` — the regression the typed resolver
-/// exists to prevent.
+/// exists to prevent. `Csr` also implements a trait method `width`;
+/// both `m.width()` and `Csr::width(m)` bind the inherent one, as Rust
+/// does.
 #[test]
 fn collision_fixture_binds_one_method() {
     let report = analyze_workspace(&fixture_root("collision"), &AnalyzerConfig::default())
@@ -108,23 +110,26 @@ fn collision_fixture_binds_one_method() {
             .position(|n| n.contains(needle))
             .unwrap_or_else(|| panic!("node {needle} missing")) as u32
     };
-    let caller = node("::reorder@");
-    let csr = node("Csr::width");
+    let csr = node("Csr::width@11:");
+    let shape = node("Csr::width@37:");
     let coo = node("Coo::width");
-    let outs: Vec<u32> = g
-        .edges
-        .iter()
-        .filter(|&&(u, _)| u == caller)
-        .map(|&(_, v)| v)
-        .collect();
-    assert_eq!(
-        outs,
-        vec![csr],
-        "caller must bind Csr::width and nothing else"
-    );
+    for name in ["::reorder@", "::reorder_qualified@"] {
+        let caller = node(name);
+        let outs: Vec<u32> = g
+            .edges
+            .iter()
+            .filter(|&&(u, _)| u == caller)
+            .map(|&(_, v)| v)
+            .collect();
+        assert_eq!(
+            outs,
+            vec![csr],
+            "{name} must bind the inherent Csr::width and nothing else"
+        );
+    }
     assert!(
-        !g.edges.contains(&(caller, coo)),
-        "bare-name collision edge resurfaced"
+        !g.edges.iter().any(|&(_, v)| v == coo || v == shape),
+        "a bare-name or trait-method edge resurfaced"
     );
 }
 

@@ -465,6 +465,9 @@ fn row_epilogue<F: FnMut(Access)>(kernel: Kernel, layout: &ArrayLayout, r: u32, 
 /// sequential `X`) and appends `(row, partial)` element pairs to the
 /// destination bin's cursor; phase 2 streams each bin back and
 /// accumulates into the bin's bounded `Y` range.
+///
+/// Phase 1 records each entry's row at its bin slot (`cursor / 2`), so
+/// phase 2 reads the rows back in bin order from one nnz-sized array.
 fn blocked_accesses<F: FnMut(Access)>(
     a: &CsrMatrix,
     layout: &ArrayLayout,
@@ -480,16 +483,18 @@ fn blocked_accesses<F: FnMut(Access)>(
     // CSC view: the blocked kernel stores the matrix column-major, so the
     // offsets/indices/values regions hold the CSC arrays.
     let csc = a.transpose();
-    // Per-bin element bases within the bins region (2 elements per entry).
-    let mut bin_counts = vec![0u64; bins as usize];
+    // Per-bin write cursors within the bins region (2 elements per
+    // entry), each starting at its bin's base.
+    let mut cursor = vec![0u64; bins as usize];
     for &r in csc.col_indices() {
-        bin_counts[(r / rows_per_bin) as usize] += 1;
+        cursor[(r / rows_per_bin) as usize] += 2;
     }
-    let mut bin_base = vec![0u64; bins as usize + 1];
-    for b in 0..bins as usize {
-        bin_base[b + 1] = bin_base[b] + 2 * bin_counts[b];
+    let mut base = 0u64;
+    for c in &mut cursor {
+        (*c, base) = (base, base + *c);
     }
-    let mut cursor = bin_base.clone();
+    // The destination row of every bin slot, filled in phase 1.
+    let mut slot_rows = vec![0u32; csc.nnz()];
 
     // Phase 1: CSC stream + bin scatter (bin writes are streaming within
     // each bin's segment).
@@ -515,27 +520,18 @@ fn blocked_accesses<F: FnMut(Access)>(
             let b = (r / rows_per_bin) as usize;
             sink(Access::write(ArrayLayout::elem(layout.bins, cursor[b])));
             sink(Access::write(ArrayLayout::elem(layout.bins, cursor[b] + 1)));
+            slot_rows[(cursor[b] / 2) as usize] = r;
             cursor[b] += 2;
         }
     }
 
-    // Phase 2: drain bins, accumulate into bounded Y ranges. Re-walk the
-    // CSC in bin-major order to recover each bin's destination rows.
-    let mut bin_rows: Vec<Vec<u32>> = vec![Vec::new(); bins as usize];
-    for c in 0..csc.n_rows() {
-        let (rows, _) = csc.row(c);
-        for &r in rows {
-            bin_rows[(r / rows_per_bin) as usize].push(r);
-        }
-    }
-    for (b, rows) in bin_rows.iter().enumerate() {
-        let mut pos = bin_base[b];
-        for &r in rows {
-            sink(Access::read(ArrayLayout::elem(layout.bins, pos)));
-            sink(Access::read(ArrayLayout::elem(layout.bins, pos + 1)));
-            pos += 2;
-            sink(Access::write(ArrayLayout::elem(layout.y, u64::from(r))));
-        }
+    // Phase 2: drain bins in slot order, accumulating into bounded Y
+    // ranges.
+    for (slot, &r) in slot_rows.iter().enumerate() {
+        let pos = 2 * slot as u64;
+        sink(Access::read(ArrayLayout::elem(layout.bins, pos)));
+        sink(Access::read(ArrayLayout::elem(layout.bins, pos + 1)));
+        sink(Access::write(ArrayLayout::elem(layout.y, u64::from(r))));
     }
 }
 

@@ -42,6 +42,7 @@ pub use mesh::{Grid2d, Grid3d};
 pub use preferential::BarabasiAlbert;
 pub use random::ErdosRenyi;
 pub use rmat::Rmat;
+pub(crate) use rmat::RmatDescent;
 pub use sbm::PlantedPartition;
 pub use small_world::WattsStrogatz;
 

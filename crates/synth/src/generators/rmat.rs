@@ -75,26 +75,11 @@ impl Rmat {
         );
         let n = 1u32 << self.scale;
         let m = (f64::from(n) * self.avg_degree / 2.0).round() as usize;
+        let descent = RmatDescent::new(self.scale, self.a, self.b, self.c);
         let mut rng = Rng::new(seed);
         let mut edges = Vec::with_capacity(m);
         for _ in 0..m {
-            let (mut u, mut v) = (0u32, 0u32);
-            for _ in 0..self.scale {
-                u <<= 1;
-                v <<= 1;
-                let x = rng.next_f64();
-                if x < self.a {
-                    // top-left: both bits 0
-                } else if x < self.a + self.b {
-                    v |= 1;
-                } else if x < self.a + self.b + self.c {
-                    u |= 1;
-                } else {
-                    u |= 1;
-                    v |= 1;
-                }
-            }
-            edges.push((u, v));
+            edges.push(descent.edge(&mut rng));
         }
         if self.scramble_ids {
             let mut relabel: Vec<u32> = (0..n).collect();
@@ -108,11 +93,101 @@ impl Rmat {
     }
 }
 
+/// The quadrant descent shared by [`Rmat`] and
+/// [`crate::stream::StreamedRmat`]: `scale` levels per edge, one
+/// `next_f64` draw per level, most significant bit first.
+///
+/// A draw `x` picks top-left below `a`, top-right below `a + b`,
+/// bottom-left below `a + b + c` and bottom-right otherwise. The
+/// outcome is a coin flip no branch predictor can learn, so each level
+/// sets its bits from comparisons instead of branching. The thresholds
+/// are summed once, `a + b` and then `(a + b) + c`: the `f64`
+/// association the corpus was drawn with, so every draw lands in the
+/// quadrant the tests' reference `if` chain picks and every corpus
+/// matrix keeps its bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RmatDescent {
+    scale: u32,
+    a: f64,
+    ab: f64,
+    abc: f64,
+}
+
+impl RmatDescent {
+    pub(crate) fn new(scale: u32, a: f64, b: f64, c: f64) -> Self {
+        let ab = a + b;
+        RmatDescent {
+            scale,
+            a,
+            ab,
+            abc: ab + c,
+        }
+    }
+
+    /// The `(u, v)` bits of one level for the draw `x`.
+    #[inline]
+    fn step(&self, x: f64) -> (u32, u32) {
+        let u = x >= self.ab;
+        let v = ((self.a <= x) & (x < self.ab)) | (x >= self.abc);
+        (u32::from(u), u32::from(v))
+    }
+
+    /// One edge `(u, v)`, drawing `scale` numbers from `rng`.
+    #[inline]
+    pub(crate) fn edge(&self, rng: &mut Rng) -> (u32, u32) {
+        let (mut u, mut v) = (0u32, 0u32);
+        for _ in 0..self.scale {
+            let (du, dv) = self.step(rng.next_f64());
+            u = (u << 1) | du;
+            v = (v << 1) | dv;
+        }
+        (u, v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::assert_well_formed;
     use commorder_sparse::stats::skew_top10;
+
+    /// The `if` chain both generators ran before [`RmatDescent`]: the
+    /// reference the branch-free step must match.
+    fn chain_step(a: f64, b: f64, c: f64, x: f64) -> (u32, u32) {
+        if x < a {
+            (0, 0)
+        } else if x < a + b {
+            (0, 1)
+        } else if x < a + b + c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn step_matches_the_if_chain_at_every_threshold() {
+        let params = [
+            (0.57, 0.19, 0.19), // graph500
+            (0.45, 0.22, 0.22), // mild
+            (0.6, 0.0, 0.3),    // b = 0
+            (0.5, 0.3, 0.0),    // c = 0
+        ];
+        for (a, b, c) in params {
+            let descent = RmatDescent::new(1, a, b, c);
+            let mut draws = vec![0.5, 1.0f64.next_down()];
+            for t in [0.0, a, a + b, a + b + c] {
+                draws.extend([t, t.next_down(), t.next_up()]);
+            }
+            for x in draws {
+                assert_eq!(
+                    descent.step(x),
+                    chain_step(a, b, c, x),
+                    "a={a} b={b} c={c} x={x:e}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn graph500_is_heavily_skewed() {

@@ -58,8 +58,14 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform integer in `[0, bound)` via Lemire's multiply-shift
-    /// (unbiased rejection variant).
+    /// Uniform integer in `[0, bound)` by modulo rejection: a draw below
+    /// the largest multiple of `bound` that fits (`u64::MAX - u64::MAX %
+    /// bound`) is reduced `% bound`; a draw at or above it is redrawn.
+    ///
+    /// Every corpus matrix is drawn through this method, and
+    /// `tests/corpus_golden.rs` pins the resulting bytes, so the
+    /// algorithm must not change (not even to an equally unbiased one
+    /// such as Lemire's multiply-shift).
     ///
     /// # Panics
     ///

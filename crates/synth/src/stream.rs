@@ -9,6 +9,7 @@
 
 use commorder_sparse::{CsrMatrix, SparseError};
 
+use crate::generators::RmatDescent;
 use crate::rng::Rng;
 
 /// Domain-separation constant for the relabel shuffle stream, so the
@@ -55,10 +56,10 @@ fn relabel_table(n: u32, seed: u64) -> Vec<u32> {
 }
 
 /// R-MAT edge stream: the same per-edge quadrant descent as
-/// [`crate::generators::Rmat`], replayable because each pass re-seeds
-/// the generator instead of storing edges. IDs are always scrambled
-/// (through a table drawn from an independent RNG stream) so the
-/// published order carries no quadrant locality.
+/// [`crate::generators::Rmat`] (one shared step), replayable because
+/// each pass re-seeds the generator instead of storing edges. IDs are
+/// always scrambled (through a table drawn from an independent RNG
+/// stream) so the published order carries no quadrant locality.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamedRmat {
     /// log2 of the vertex count (`n = 2^scale`).
@@ -97,24 +98,10 @@ impl EdgeStream for StreamedRmat {
         let n = self.n_vertices();
         let m = (f64::from(n) * self.avg_degree / 2.0).round() as u64;
         let relabel = relabel_table(n, seed);
+        let descent = RmatDescent::new(self.scale, self.a, self.b, self.c);
         let mut rng = Rng::new(seed);
         for _ in 0..m {
-            let (mut u, mut v) = (0u32, 0u32);
-            for _ in 0..self.scale {
-                u <<= 1;
-                v <<= 1;
-                let x = rng.next_f64();
-                if x < self.a {
-                    // top-left: both bits stay 0
-                } else if x < self.a + self.b {
-                    v |= 1;
-                } else if x < self.a + self.b + self.c {
-                    u |= 1;
-                } else {
-                    u |= 1;
-                    v |= 1;
-                }
-            }
+            let (u, v) = descent.edge(&mut rng);
             visit(relabel[u as usize], relabel[v as usize]);
         }
     }

@@ -9,6 +9,7 @@
 
 use commorder_sparse::CsrMatrix;
 use commorder_synth::corpus;
+use commorder_synth::generators::Rmat;
 use commorder_synth::stream::{stream_undirected_csr, StreamedKmerChain, StreamedRmat};
 
 /// FNV-1a over the little-endian bytes of `words`.
@@ -92,6 +93,25 @@ const STREAMED_GOLDEN: &[(&str, [u64; 3])] = &[
     ),
 ];
 
+/// `(label, [offsets, columns, values])` for R-MAT configurations the
+/// corpus does not list: other quadrant thresholds, raw (unscrambled)
+/// vertex IDs, and a streamed mild graph. Recorded from the `if`-chain
+/// descent, before both generators shared one branch-free step.
+const RMAT_GOLDEN: &[(&str, [u64; 3])] = &[
+    (
+        "rmat-mild-2k",
+        [0x869349d15d1c771c, 0x8c860ea0701baba8, 0xce32406d4081d955],
+    ),
+    (
+        "rmat-graph500-raw-2k",
+        [0xf28b034f3d1d48ab, 0x971781aa4a5a1e83, 0xc28f6ab7110f99d5],
+    ),
+    (
+        "streamed-rmat-mild-4k",
+        [0xad65a17cefb860f8, 0x17684b793c185b8d, 0x9dd96437b682af65],
+    ),
+];
+
 fn check(label: &str, got: [u64; 3], table: &[(&str, [u64; 3])]) {
     let want = table
         .iter()
@@ -149,5 +169,34 @@ fn streamed_generators_regenerate_bit_identically() {
         "streamed-kmer-8k",
         fingerprint(&stream_undirected_csr(&kmer, 5).expect("valid stream")),
         STREAMED_GOLDEN,
+    );
+}
+
+#[test]
+fn rmat_descent_regenerates_bit_identically() {
+    check(
+        "rmat-mild-2k",
+        fingerprint(&Rmat::mild(11, 10.0).generate(3).expect("valid config")),
+        RMAT_GOLDEN,
+    );
+    let raw = Rmat {
+        scramble_ids: false,
+        ..Rmat::graph500(11, 12.0)
+    };
+    check(
+        "rmat-graph500-raw-2k",
+        fingerprint(&raw.generate(4).expect("valid config")),
+        RMAT_GOLDEN,
+    );
+    let mild = StreamedRmat {
+        a: 0.45,
+        b: 0.22,
+        c: 0.22,
+        ..StreamedRmat::graph500(12, 8.0)
+    };
+    check(
+        "streamed-rmat-mild-4k",
+        fingerprint(&stream_undirected_csr(&mild, 9).expect("valid stream")),
+        RMAT_GOLDEN,
     );
 }

@@ -401,6 +401,7 @@ fn run_bench_reorder(quick: bool) -> Result<BenchReport, String> {
         .map_err(|e| format!("warmup: {e}"))?;
 
     let mut report = BenchReport::new("reorder");
+    report.fingerprint("input.matrix", matrix_fingerprint(&matrix));
     report.metric("reorder.generate_seconds", gen_seconds, "seconds", false);
     for (name, technique) in &techniques {
         let mut reference_hash: Option<u64> = None;
@@ -477,6 +478,19 @@ fn run_bench_reorder(quick: bool) -> Result<BenchReport, String> {
     Ok(report)
 }
 
+/// FNV-1a over the bench input's row offsets, column indices and value
+/// bits (the three hashes `corpus_golden` pins per corpus entry), so a
+/// generator change that moves one entry reads as input drift rather
+/// than as drift of the results computed from it.
+fn matrix_fingerprint(m: &commorder_sparse::CsrMatrix) -> u64 {
+    let value_bits: Vec<u32> = m.values().iter().map(|v| v.to_bits()).collect();
+    bench::fnv1a_u64s(&[
+        bench::fnv1a_u32s(m.row_offsets()),
+        bench::fnv1a_u32s(m.col_indices()),
+        bench::fnv1a_u32s(&value_bits),
+    ])
+}
+
 /// FNV-1a over the full counter vector of a cache simulation — any
 /// behavioural drift in the simulator or its input trace changes it.
 fn stats_fingerprint(s: &commorder::cachesim::CacheStats) -> u64 {
@@ -529,6 +543,7 @@ fn run_bench_pipeline(quick: bool) -> Result<BenchReport, String> {
     let source = KernelTrace::new(&matrix, Kernel::SpmvCsr, ExecutionModel::Sequential);
 
     let mut report = BenchReport::new("pipeline");
+    report.fingerprint("input.matrix", matrix_fingerprint(&matrix));
     let per_second = |n: u64, seconds: f64| {
         if seconds > 0.0 {
             n as f64 / seconds

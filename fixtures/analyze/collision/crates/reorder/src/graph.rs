@@ -25,3 +25,16 @@ impl Coo {
         self.entries.len()
     }
 }
+
+/// Anything with a width; `Csr` implements it with a same-named method.
+pub trait Shape {
+    /// Width under the trait's own definition.
+    fn width(&self) -> usize;
+}
+
+impl Shape for Csr {
+    /// Stored entries, not rows: never what an inherent-first call binds.
+    fn width(&self) -> usize {
+        self.row_ptr.last().copied().unwrap_or(0) as usize
+    }
+}

@@ -7,3 +7,9 @@ use crate::graph::Csr;
 pub fn reorder(m: &Csr) -> usize {
     m.width()
 }
+
+/// Resolves `Csr::width(m)` to the inherent `Csr::width`: Rust binds an
+/// inherent method before a trait method of the same name.
+pub fn reorder_qualified(m: &Csr) -> usize {
+    Csr::width(m)
+}
