@@ -184,7 +184,7 @@ echo "== SpGEMM streaming tripwire (ulimit -v 256 MiB)"
 test -s /tmp/commorder-spgemm-tripwire.json
 
 echo "== strict-checks feature"
-cargo test -q -p commorder-sparse -p commorder-cachesim -p commorder \
+cargo test -q -p commorder-sparse -p commorder-cachesim -p commorder -p commorder-suite \
   --features commorder-sparse/strict-checks,commorder-cachesim/strict-checks,commorder/strict-checks
 
 echo "ci: all gates passed"

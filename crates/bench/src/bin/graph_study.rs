@@ -56,14 +56,20 @@ fn main() {
                 .reorder(&case.matrix)
                 .expect("square corpus matrix");
             let m = case.matrix.permute_symmetric(&perm).expect("validated");
-            let (pr_bytes, pr_hit) = simulate(&harness.gpu, &PagerankTrace::new(&m, 3));
+            let (pr_bytes, pr_hit) = simulate(
+                &harness.gpu,
+                &PagerankTrace::new(&m, 3).expect("square corpus matrix"),
+            );
             // BFS from the (reordered) vertex with the highest degree —
             // a deterministic, component-covering start.
             let degrees = m.out_degrees();
             let source = (0..m.n_rows())
                 .max_by_key(|&v| degrees[v as usize])
                 .expect("non-empty corpus matrix");
-            let (bfs_bytes, bfs_hit) = simulate(&harness.gpu, &BfsTrace::new(&m, source));
+            let (bfs_bytes, bfs_hit) = simulate(
+                &harness.gpu,
+                &BfsTrace::new(&m, source).expect("source in range"),
+            );
             (
                 ordering.name().to_string(),
                 pr_bytes,

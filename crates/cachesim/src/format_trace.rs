@@ -5,11 +5,12 @@
 //! format-study experiment normalizes their traffic to the *CSR*
 //! compulsory baseline instead.
 //!
-//! Layout: `cols` and `values` regions sized by the padded length,
-//! followed by `X` and `Y` — padding slots are *stored and streamed*
-//! (that is the point of measuring them), but padded entries read
-//! neither `X` nor `values` (the classic guarded ELL kernel reads the
-//! column index, tests it, and skips the rest).
+//! Layout: SELL's slice metadata (empty for ELL), then `cols` and
+//! `values` regions sized by the padded length, then `X` (one element
+//! per column) and `Y` (one per row) — padding slots are *stored and
+//! streamed* (that is the point of measuring them), but padded entries
+//! read neither `X` nor `values` (the classic guarded ELL kernel reads
+//! the column index, tests it, and skips the rest).
 //!
 //! Both traces are replayable [`TraceSource`]s ([`EllTrace`],
 //! [`SellTrace`]); the stream is regenerated per replay, never
@@ -17,32 +18,9 @@
 
 use commorder_sparse::{EllMatrix, SellMatrix, ELEM_BYTES, ELL_PAD};
 
+use crate::layout::{audited, place};
 use crate::source::TraceSource;
 use crate::trace::Access;
-
-/// Region bases for a padded-format trace.
-struct PaddedLayout {
-    cols: u64,
-    values: u64,
-    x: u64,
-    y: u64,
-}
-
-fn padded_layout(padded_len: u64, n: u64, extra_meta: u64, line_bytes: u64) -> PaddedLayout {
-    let align = |addr: u64| addr.div_ceil(line_bytes) * line_bytes;
-    let mut cursor = align(extra_meta * ELEM_BYTES);
-    let mut region = |elems: u64| {
-        let base = cursor;
-        cursor = align(cursor + elems * ELEM_BYTES);
-        base
-    };
-    PaddedLayout {
-        cols: region(padded_len),
-        values: region(padded_len),
-        x: region(n),
-        y: region(n),
-    }
-}
 
 /// Replayable trace of a guarded ELL SpMV (slot-major, coalesced
 /// `cols`/`values` streams, irregular `X` gathers, one `Y` store per
@@ -60,23 +38,25 @@ impl<'a> EllTrace<'a> {
 }
 
 impl TraceSource for EllTrace<'_> {
-    fn replay(&self, sink: &mut dyn FnMut(Access)) {
+    fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
         let n = u64::from(a.n_rows());
-        let layout = padded_layout(a.padded_len() as u64, n, 0, 32);
+        let padded = a.padded_len() as u64;
+        let ([cols, values, x, y], end) = place([padded, padded, u64::from(a.n_cols()), n]);
+        let mut sink = audited(end, raw_sink);
         for slot in 0..a.width() {
             for r in 0..a.n_rows() {
                 let idx = u64::from(slot) * n + u64::from(r);
-                sink(Access::read(layout.cols + idx * ELEM_BYTES));
+                sink(Access::read(cols + idx * ELEM_BYTES));
                 let col = a.col_at(slot, r);
                 if col != ELL_PAD {
-                    sink(Access::read(layout.values + idx * ELEM_BYTES));
-                    sink(Access::read(layout.x + u64::from(col) * ELEM_BYTES));
+                    sink(Access::read(values + idx * ELEM_BYTES));
+                    sink(Access::read(x + u64::from(col) * ELEM_BYTES));
                 }
             }
         }
         for r in 0..n {
-            sink(Access::write(layout.y + r * ELEM_BYTES));
+            sink(Access::write(y + r * ELEM_BYTES));
         }
     }
 }
@@ -97,33 +77,36 @@ impl<'a> SellTrace<'a> {
 }
 
 impl TraceSource for SellTrace<'_> {
-    fn replay(&self, sink: &mut dyn FnMut(Access)) {
+    fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
         let n = u64::from(a.n_rows());
+        let padded = a.padded_len() as u64;
         // Slice offset/width metadata is streamed once (2 words per slice).
-        let layout = padded_layout(a.padded_len() as u64, n, 2 * a.n_slices() as u64, 32);
+        let meta_len = 2 * a.n_slices() as u64;
+        let ([meta, cols, values, x, y], end) =
+            place([meta_len, padded, padded, u64::from(a.n_cols()), n]);
+        let mut sink = audited(end, raw_sink);
         let c = u64::from(a.c());
         let mut base = 0u64;
         for s in 0..a.n_slices() {
-            // Slice metadata reads (offset + width) live in the low region.
-            sink(Access::read(2 * s as u64 * ELEM_BYTES));
-            sink(Access::read((2 * s as u64 + 1) * ELEM_BYTES));
+            sink(Access::read(meta + 2 * s as u64 * ELEM_BYTES));
+            sink(Access::read(meta + (2 * s as u64 + 1) * ELEM_BYTES));
             let width = u64::from(a.slice_width(s));
             let lanes = (n - s as u64 * c).min(c);
             for slot in 0..width {
                 for lane in 0..lanes {
                     let idx = base + slot * c + lane;
-                    sink(Access::read(layout.cols + idx * ELEM_BYTES));
+                    sink(Access::read(cols + idx * ELEM_BYTES));
                     if let Some(col) = a.col_at(s, slot as u32, lane as u32) {
-                        sink(Access::read(layout.values + idx * ELEM_BYTES));
-                        sink(Access::read(layout.x + u64::from(col) * ELEM_BYTES));
+                        sink(Access::read(values + idx * ELEM_BYTES));
+                        sink(Access::read(x + u64::from(col) * ELEM_BYTES));
                     }
                 }
             }
             // Y scatter for the slice's rows.
             for lane in 0..lanes {
                 let row = a.original_row((s as u64 * c + lane) as u32);
-                sink(Access::write(layout.y + u64::from(row) * ELEM_BYTES));
+                sink(Access::write(y + u64::from(row) * ELEM_BYTES));
             }
             base += width * c;
         }
@@ -194,5 +177,50 @@ mod tests {
         let sell = SellMatrix::from_csr(&csr, 2, 8).unwrap();
         let source = SellTrace::new(&sell);
         assert_eq!(source.collect_trace(), source.collect_trace());
+    }
+
+    /// Checks that the ELL and SELL traces of `a` place `Y`, one element
+    /// per row, after metadata, `cols`, `values` and an `X` of one
+    /// element per column, and load nothing at or above `Y`.
+    fn assert_x_holds_one_element_per_column(a: &CsrMatrix) {
+        let lines = |elems: u64| (elems * ELEM_BYTES).div_ceil(32) * 32;
+        let ell = EllMatrix::from_csr(a).unwrap();
+        let sell = SellMatrix::from_csr(a, 2, 8).unwrap();
+        let (n_rows, n_cols) = (u64::from(a.n_rows()), u64::from(a.n_cols()));
+        for (t, meta, padded) in [
+            (ell_trace(&ell), 0, ell.padded_len() as u64),
+            (
+                sell_trace(&sell),
+                2 * sell.n_slices() as u64,
+                sell.padded_len() as u64,
+            ),
+        ] {
+            let y = lines(meta) + 2 * lines(padded) + lines(n_cols);
+            let mut stores: Vec<u64> = t
+                .iter()
+                .filter(|a| a.is_write())
+                .map(|a| a.addr())
+                .collect();
+            stores.sort_unstable();
+            let expect: Vec<u64> = (0..n_rows).map(|r| y + r * ELEM_BYTES).collect();
+            assert_eq!(stores, expect, "{n_rows} x {n_cols}");
+            assert!(t.iter().all(|a| a.is_write() || a.addr() + ELEM_BYTES <= y));
+        }
+    }
+
+    #[test]
+    fn wide_matrix_gathers_stay_below_y() {
+        // 2 x 40: the column-39 gather needs a 40-element `X`.
+        let wide = CsrMatrix::new(2, 40, vec![0, 1, 2], vec![39, 0], vec![1.0; 2]).unwrap();
+        assert_x_holds_one_element_per_column(&wide);
+    }
+
+    #[test]
+    fn tall_matrix_x_holds_its_two_columns() {
+        // 40 x 2: `X` holds 2 elements, `Y` 40.
+        let tall = CsrMatrix::new(2, 40, vec![0, 1, 2], vec![39, 0], vec![1.0; 2])
+            .unwrap()
+            .transpose();
+        assert_x_holds_one_element_per_column(&tall);
     }
 }

@@ -18,59 +18,20 @@
 //! O(nnz) transposition; BFS recomputes its frontier per replay, which is
 //! deterministic by construction.
 
-use commorder_sparse::{CsrMatrix, ELEM_BYTES};
+use commorder_sparse::graph::{check_graph, check_source};
+use commorder_sparse::{CsrMatrix, SparseError, ELEM_BYTES};
 
+use crate::layout::{audited, place};
 use crate::source::TraceSource;
-use crate::trace::Access;
+use crate::trace::{read_bounds, Access};
 
-struct GraphLayout {
-    offsets: u64,
-    coords: u64,
-    rank_a: u64,
-    rank_b: u64,
-    outdeg: u64,
-    level: u64,
-    frontier: u64,
-    /// Exclusive end of the operand address space (strict-checks bound).
-    end: u64,
-}
-
-fn graph_layout(n: u64, nnz: u64, line_bytes: u64) -> GraphLayout {
-    let align = |addr: u64| addr.div_ceil(line_bytes) * line_bytes;
-    let mut cursor = 0u64;
-    let mut region = |elems: u64| {
-        let base = cursor;
-        cursor = align(cursor + elems * ELEM_BYTES);
-        base
-    };
-    let offsets = region(n + 1);
-    let coords = region(nnz);
-    let rank_a = region(n);
-    let rank_b = region(n);
-    let outdeg = region(n);
-    let level = region(n);
-    let frontier = region(n);
-    GraphLayout {
-        offsets,
-        coords,
-        rank_a,
-        rank_b,
-        outdeg,
-        level,
-        frontier,
-        end: cursor,
-    }
-}
-
-/// Strict-mode audit applied to each streamed access: element-aligned
-/// and inside the operand address space.
-fn audit_access(name: &str, acc: Access, layout: &GraphLayout) {
-    commorder_sparse::debug_validate!(
-        acc.addr().is_multiple_of(ELEM_BYTES) && acc.addr() + ELEM_BYTES <= layout.end,
-        "{name}: access {:#x} escapes the operand address space (end {:#x})",
-        acc.addr(),
-        layout.end
-    );
+/// Region lengths of the address map both graph kernels share: offsets,
+/// coords, two rank buffers, out-degrees, levels and the frontier. Each
+/// kernel reserves the other's arrays too: dropping them would move the
+/// later arrays and every pinned trace hash with them.
+fn graph_regions(a: &CsrMatrix) -> [u64; 7] {
+    let n = u64::from(a.n_rows());
+    [n + 1, a.nnz() as u64, n, n, n, n, n]
 }
 
 /// Replayable trace of pull-PageRank rounds over the transpose of the
@@ -84,13 +45,17 @@ pub struct PagerankTrace<'a> {
 
 impl<'a> PagerankTrace<'a> {
     /// A source replaying `iterations` PageRank rounds on `a`.
-    #[must_use]
-    pub fn new(a: &'a CsrMatrix, iterations: u32) -> Self {
-        PagerankTrace {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+    pub fn new(a: &'a CsrMatrix, iterations: u32) -> Result<Self, SparseError> {
+        check_graph(a)?;
+        Ok(PagerankTrace {
             a,
             transpose: a.transpose(),
             iterations,
-        }
+        })
     }
 }
 
@@ -105,31 +70,24 @@ impl TraceSource for PagerankTrace<'_> {
 
     fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
-        let n = u64::from(a.n_rows());
-        let layout = graph_layout(n, a.nnz() as u64, 32);
-        let mut sink = |acc: Access| {
-            audit_access("pagerank_trace", acc, &layout);
-            raw_sink(acc);
-        };
+        let ([offsets, coords, rank_a, rank_b, outdeg, _, _], end) = place(graph_regions(a));
+        let mut sink = audited(end, raw_sink);
         for iter in 0..self.iterations {
             // Ping-pong: even iterations read rank_a / write rank_b.
             let (src, dst) = if iter % 2 == 0 {
-                (layout.rank_a, layout.rank_b)
+                (rank_a, rank_b)
             } else {
-                (layout.rank_b, layout.rank_a)
+                (rank_b, rank_a)
             };
             for v in 0..a.n_rows() {
-                sink(Access::read(layout.offsets + u64::from(v) * ELEM_BYTES));
-                sink(Access::read(
-                    layout.offsets + (u64::from(v) + 1) * ELEM_BYTES,
-                ));
+                read_bounds(offsets, u64::from(v), &mut sink);
                 let (in_neighbours, _) = self.transpose.row(v);
                 let base = self.transpose.row_offsets()[v as usize] as u64;
                 for (k, &u) in in_neighbours.iter().enumerate() {
-                    sink(Access::read(layout.coords + (base + k as u64) * ELEM_BYTES));
+                    sink(Access::read(coords + (base + k as u64) * ELEM_BYTES));
                     // Irregular gathers: pr[u] and outdeg[u].
                     sink(Access::read(src + u64::from(u) * ELEM_BYTES));
-                    sink(Access::read(layout.outdeg + u64::from(u) * ELEM_BYTES));
+                    sink(Access::read(outdeg + u64::from(u) * ELEM_BYTES));
                 }
                 sink(Access::write(dst + u64::from(v) * ELEM_BYTES));
             }
@@ -148,50 +106,41 @@ pub struct BfsTrace<'a> {
 impl<'a> BfsTrace<'a> {
     /// A source replaying a BFS on `a` from `source`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `source >= n_rows`.
-    #[must_use]
-    pub fn new(a: &'a CsrMatrix, source: u32) -> Self {
-        assert!(source < a.n_rows(), "source out of range");
-        BfsTrace { a, source }
+    /// Returns [`SparseError::DimensionMismatch`] if `a` is not square,
+    /// and [`SparseError::IndexOutOfBounds`] if `source >= n`.
+    pub fn new(a: &'a CsrMatrix, source: u32) -> Result<Self, SparseError> {
+        check_source(a, source)?;
+        Ok(BfsTrace { a, source })
     }
 }
 
 impl TraceSource for BfsTrace<'_> {
     fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
-        let n = u64::from(a.n_rows());
-        let layout = graph_layout(n, a.nnz() as u64, 32);
-        let mut sink = |acc: Access| {
-            audit_access("bfs_trace", acc, &layout);
-            raw_sink(acc);
-        };
+        let ([offsets, coords, _, _, _, level, frontier_base], end) = place(graph_regions(a));
+        let mut sink = audited(end, raw_sink);
         let mut visited = vec![false; a.n_rows() as usize];
         visited[self.source as usize] = true;
         let mut frontier = vec![self.source];
         let mut frontier_cursor = 0u64; // streaming frontier array writes
-        sink(Access::write(layout.frontier));
+        sink(Access::write(frontier_base));
         frontier_cursor += 1;
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for &u in &frontier {
-                sink(Access::read(layout.offsets + u64::from(u) * ELEM_BYTES));
-                sink(Access::read(
-                    layout.offsets + (u64::from(u) + 1) * ELEM_BYTES,
-                ));
+                read_bounds(offsets, u64::from(u), &mut sink);
                 let (neighbours, _) = a.row(u);
                 let base = a.row_offsets()[u as usize] as u64;
                 for (k, &v) in neighbours.iter().enumerate() {
-                    sink(Access::read(layout.coords + (base + k as u64) * ELEM_BYTES));
+                    sink(Access::read(coords + (base + k as u64) * ELEM_BYTES));
                     // Irregular probe of level[v]; write on first discovery.
-                    sink(Access::read(layout.level + u64::from(v) * ELEM_BYTES));
+                    sink(Access::read(level + u64::from(v) * ELEM_BYTES));
                     if !visited[v as usize] {
                         visited[v as usize] = true;
-                        sink(Access::write(layout.level + u64::from(v) * ELEM_BYTES));
-                        sink(Access::write(
-                            layout.frontier + frontier_cursor * ELEM_BYTES,
-                        ));
+                        sink(Access::write(level + u64::from(v) * ELEM_BYTES));
+                        sink(Access::write(frontier_base + frontier_cursor * ELEM_BYTES));
                         frontier_cursor += 1;
                         next.push(v);
                     }
@@ -215,11 +164,11 @@ mod tests {
     }
 
     fn pagerank_trace(a: &CsrMatrix, iterations: u32) -> Vec<Access> {
-        PagerankTrace::new(a, iterations).collect_trace()
+        PagerankTrace::new(a, iterations).unwrap().collect_trace()
     }
 
     fn bfs_trace(a: &CsrMatrix, source: u32) -> Vec<Access> {
-        BfsTrace::new(a, source).collect_trace()
+        BfsTrace::new(a, source).unwrap().collect_trace()
     }
 
     #[test]
@@ -234,7 +183,10 @@ mod tests {
         assert_eq!(two.len(), 2 * per_iter);
         assert_eq!(one.iter().filter(|x| x.is_write()).count(), 4);
         // The hint is exact for PageRank.
-        assert_eq!(PagerankTrace::new(&a, 2).len_hint(), Some(two.len() as u64));
+        assert_eq!(
+            PagerankTrace::new(&a, 2).unwrap().len_hint(),
+            Some(two.len() as u64)
+        );
     }
 
     #[test]
@@ -257,9 +209,9 @@ mod tests {
     #[test]
     fn replays_are_deterministic() {
         let a = path4();
-        let source = BfsTrace::new(&a, 0);
+        let source = BfsTrace::new(&a, 0).unwrap();
         assert_eq!(source.collect_trace(), source.collect_trace());
-        let pr = PagerankTrace::new(&a, 3);
+        let pr = PagerankTrace::new(&a, 3).unwrap();
         assert_eq!(pr.collect_trace(), pr.collect_trace());
     }
 
@@ -283,5 +235,23 @@ mod tests {
         let t = bfs_trace(&a, 0);
         // Only vertex 1 is discovered: 1 level write + 2 frontier writes.
         assert_eq!(t.iter().filter(|x| x.is_write()).count(), 3);
+    }
+
+    #[test]
+    fn constructors_reject_what_the_kernels_reject() {
+        // 3 x 2: no square adjacency matrix, so no PageRank or BFS.
+        let rect = CsrMatrix::new(3, 2, vec![0, 1, 2, 2], vec![1, 0], vec![1.0; 2]).unwrap();
+        assert!(matches!(
+            PagerankTrace::new(&rect, 2),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            BfsTrace::new(&rect, 0),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            BfsTrace::new(&path4(), 4),
+            Err(SparseError::IndexOutOfBounds { index: 4, bound: 4 })
+        ));
     }
 }

@@ -1,19 +1,60 @@
-//! Address-space layout of the kernel operands.
+//! The address map every kernel trace emits into.
 //!
-//! The trace generator places each array (CSR components, vectors, dense
-//! matrices) in its own line-aligned region of a flat address space, so
-//! distinct arrays never alias a cache line — matching a real allocator's
-//! behaviour for multi-megabyte buffers.
+//! Each trace places its arrays (CSR components, vectors, dense
+//! matrices, bins) in a flat address space through one allocator,
+//! `place`: every array gets its own `LAYOUT_LINE_BYTES`-aligned
+//! region, so distinct arrays never share a cache line — as a real
+//! allocator places multi-megabyte buffers. Every access a trace emits
+//! passes the one strict-checks audit, `audited`, against the end of
+//! that space. The `Kernel` traces take their array lengths from
+//! [`Kernel::regions`], the table the compulsory bound sums too.
 
 use commorder_sparse::kernels::SpGemmProfile;
-use commorder_sparse::{traffic::Kernel, CsrMatrix, ELEM_BYTES};
+use commorder_sparse::traffic::{Kernel, Region, Shape, REGIONS};
+use commorder_sparse::{CsrMatrix, ELEM_BYTES};
 
-/// Base addresses (bytes) of every operand region.
+use crate::trace::Access;
+
+/// Line size every trace's address map is aligned to: a `k`-wide dense
+/// row costs one access per line it touches.
+pub(crate) const LAYOUT_LINE_BYTES: u32 = 32;
+
+/// Places arrays of `elems[i]` elements one after another from address
+/// 0, each on a fresh [`LAYOUT_LINE_BYTES`] boundary. Returns every
+/// array's base address and the space's exclusive, line-aligned end. An
+/// empty array takes no space.
+pub(crate) fn place<const N: usize>(elems: [u64; N]) -> ([u64; N], u64) {
+    let line = u64::from(LAYOUT_LINE_BYTES);
+    let mut end = 0u64;
+    let bases = elems.map(|n| {
+        let base = end;
+        end = (end + n * ELEM_BYTES).div_ceil(line) * line;
+        base
+    });
+    (bases, end)
+}
+
+/// Wraps `sink` so that, under `strict-checks`, every access is audited
+/// against the address space [`place`] returned: element-aligned and
+/// below `end`.
+pub(crate) fn audited<F: FnMut(Access)>(end: u64, mut sink: F) -> impl FnMut(Access) {
+    move |acc: Access| {
+        commorder_sparse::debug_validate!(
+            acc.addr().is_multiple_of(ELEM_BYTES) && acc.addr() + ELEM_BYTES <= end,
+            "trace access {:#x} misaligned or beyond operand end {end:#x}",
+            acc.addr()
+        );
+        sink(acc);
+    }
+}
+
+/// Base addresses (bytes) of every region of a [`Kernel`] trace, in
+/// the order of [`Kernel::regions`].
 ///
-/// The SpGEMM regions (`b_row_offsets` … `c_values`) are zero-sized for
-/// every other kernel and appended *after* `bins`, so the addresses the
+/// The SpGEMM regions (`b_row_offsets` … `c_values`) are empty for
+/// every other kernel and come *after* `bins`, so the addresses the
 /// dense-operand kernels emit — and therefore their cache fingerprints —
-/// are unchanged by the two-operand extension.
+/// do not depend on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayLayout {
     /// CSR `rowOffsets` (length `n_rows + 1`, once per column tile; for
@@ -55,13 +96,11 @@ pub struct ArrayLayout {
     /// Exclusive end (bytes) of the operand address space: every valid
     /// access satisfies `addr + ELEM_BYTES <= end`.
     pub end: u64,
-    /// Line size the layout was aligned to.
-    pub line_bytes: u32,
 }
 
 impl ArrayLayout {
     /// Lays out the operands of the one-operand `kernel` on an `a`-shaped
-    /// problem. The SpGEMM regions stay zero-sized: a two-operand layout
+    /// problem. The SpGEMM regions stay empty: a two-operand layout
     /// needs the product's size, which only [`ArrayLayout::for_pair`]
     /// gets.
     ///
@@ -70,13 +109,13 @@ impl ArrayLayout {
     /// Panics if `kernel` is an SpGEMM kernel: its layout comes from
     /// [`ArrayLayout::for_pair`].
     #[must_use]
-    pub fn new(a: &CsrMatrix, kernel: Kernel, line_bytes: u32) -> Self {
+    pub fn new(a: &CsrMatrix, kernel: Kernel) -> Self {
         assert!(
             !kernel.is_spgemm(),
             "{} needs its product's size; lay it out with ArrayLayout::for_pair",
             kernel.name()
         );
-        Self::lay_out(a, kernel, None, line_bytes)
+        Self::from_regions(kernel.regions(Shape::of(a), None))
     }
 
     /// Lays out the SpGEMM operands of `a · b`, with the output regions
@@ -84,74 +123,17 @@ impl ArrayLayout {
     /// ([`commorder_sparse::kernels::spgemm_profile`]) the caller already
     /// ran on the pair. Both SpGEMM kernels share this map.
     #[must_use]
-    pub fn for_pair(
-        a: &CsrMatrix,
-        b: &CsrMatrix,
-        profile: &SpGemmProfile,
-        line_bytes: u32,
-    ) -> Self {
-        Self::lay_out(a, Kernel::SpGemmGustavson, Some((b, profile)), line_bytes)
+    pub fn for_pair(a: &CsrMatrix, b: &CsrMatrix, profile: &SpGemmProfile) -> Self {
+        let product = (Shape::of(b), profile.result_nnz);
+        Self::from_regions(Kernel::SpGemmGustavson.regions(Shape::of(a), Some(product)))
     }
 
-    /// The one layout body: every region in a fixed order, the SpGEMM
-    /// regions last and sized only when `spgemm` holds the second operand
-    /// and the product's profile.
-    fn lay_out(
-        a: &CsrMatrix,
-        kernel: Kernel,
-        spgemm: Option<(&CsrMatrix, &SpGemmProfile)>,
-        line_bytes: u32,
-    ) -> Self {
-        let n = u64::from(a.n_rows());
-        let n_cols = u64::from(a.n_cols());
-        let nnz = a.nnz() as u64;
-        let k = match kernel {
-            Kernel::SpmmCsr { k } => u64::from(k),
-            _ => 1,
-        };
-        let line = u64::from(line_bytes);
-        let align = |addr: u64| addr.div_ceil(line) * line;
-        let mut cursor = 0u64;
-        let mut region = |elems: u64| {
-            let base = cursor;
-            cursor = align(cursor + elems * ELEM_BYTES);
-            base
-        };
-        // Tiled kernels carry one offsets array per column tile; the
-        // blocked kernel stores the matrix column-major, so its offsets
-        // are the `n_cols + 1` CSC column offsets.
-        let row_offsets = region(match kernel {
-            Kernel::SpmvBlocked { .. } => n_cols + 1,
-            _ => kernel.tiles(n_cols) * (n + 1),
-        });
-        let coords = region(nnz);
-        let values = region(nnz);
-        let coo_rows = region(nnz);
-        // Gathered operands are indexed by column, outputs by row.
-        let x = region(n_cols);
-        let y = region(n);
-        let b_dense = region(n_cols * k);
-        let c_dense = region(n * k);
-        let bins = region(2 * nnz);
-        // Two-operand SpGEMM regions (zero-sized for other kernels; a
-        // zero-sized region does not advance the cursor, so `end` and
-        // every address above are byte-identical to the one-operand
-        // layout).
-        let (b_n, b_nnz, acc_elems, c_nnz) = match spgemm {
-            Some((b, p)) => (
-                u64::from(b.n_rows()) + 1,
-                b.nnz() as u64,
-                u64::from(b.n_cols()),
-                p.result_nnz,
-            ),
-            None => (0, 0, 0, 0),
-        };
-        let b_row_offsets = region(b_n);
-        let b_coords = region(b_nnz);
-        let b_values = region(b_nnz);
-        let acc = region(acc_elems);
-        let c_coords = region(c_nnz);
-        let c_values = region(c_nnz);
+    /// Places `regions` in order.
+    fn from_regions(regions: [Region; REGIONS]) -> Self {
+        let (
+            [row_offsets, coords, values, coo_rows, x, y, b, c, bins, b_row_offsets, b_coords, b_values, acc, c_coords, c_values],
+            end,
+        ) = place(regions.map(|r| r.elems));
         ArrayLayout {
             row_offsets,
             coords,
@@ -159,8 +141,8 @@ impl ArrayLayout {
             coo_rows,
             x,
             y,
-            b: b_dense,
-            c: c_dense,
+            b,
+            c,
             bins,
             b_row_offsets,
             b_coords,
@@ -168,8 +150,7 @@ impl ArrayLayout {
             acc,
             c_coords,
             c_values,
-            end: cursor,
-            line_bytes,
+            end,
         }
     }
 
@@ -191,7 +172,7 @@ mod tests {
 
     #[test]
     fn regions_are_disjoint_and_line_aligned() {
-        let l = ArrayLayout::new(&sample(), Kernel::SpmvCsr, 32);
+        let l = ArrayLayout::new(&sample(), Kernel::SpmvCsr);
         let bases = [
             l.row_offsets,
             l.coords,
@@ -211,9 +192,25 @@ mod tests {
 
     #[test]
     fn spmm_reserves_k_columns() {
-        let small = ArrayLayout::new(&sample(), Kernel::SpmmCsr { k: 4 }, 32);
-        let big = ArrayLayout::new(&sample(), Kernel::SpmmCsr { k: 256 }, 32);
+        let small = ArrayLayout::new(&sample(), Kernel::SpmmCsr { k: 4 });
+        let big = ArrayLayout::new(&sample(), Kernel::SpmmCsr { k: 256 });
         assert!(big.c - big.b > small.c - small.b);
+    }
+
+    #[test]
+    fn place_aligns_every_region_and_skips_empty_ones() {
+        // 3 elements fill 12 of 32 bytes; 9 fill 36 of 64; an empty
+        // region takes no space.
+        assert_eq!(place([3, 0, 9, 0]), ([0, 32, 32, 96], 96));
+    }
+
+    #[test]
+    #[cfg(feature = "strict-checks")]
+    #[should_panic(expected = "beyond operand end")]
+    fn audit_rejects_an_access_past_the_end() {
+        let mut sink = audited(64, |_| {});
+        sink(Access::read(60));
+        sink(Access::read(64));
     }
 
     #[test]
@@ -226,19 +223,19 @@ mod tests {
         // 2 x 40: `X` holds 40 elements and `B` 40 rows of `k`, not 2.
         let a = CsrMatrix::new(2, 40, vec![0, 1, 2], vec![39, 0], vec![1.0, 1.0]).unwrap();
         let n_cols = u64::from(a.n_cols());
-        let l = ArrayLayout::new(&a, Kernel::SpmvCsr, 32);
+        let l = ArrayLayout::new(&a, Kernel::SpmvCsr);
         assert!(ArrayLayout::elem(l.x, n_cols - 1) + ELEM_BYTES <= l.y);
-        let l = ArrayLayout::new(&a, Kernel::SpmmCsr { k: 4 }, 32);
+        let l = ArrayLayout::new(&a, Kernel::SpmmCsr { k: 4 });
         assert!(ArrayLayout::elem(l.b, n_cols * 4 - 1) + ELEM_BYTES <= l.c);
         // Five 8-column tiles, each with its own 3-entry offsets array.
-        let l = ArrayLayout::new(&a, Kernel::SpmvCsrTiled { tile_cols: 8 }, 32);
+        let l = ArrayLayout::new(&a, Kernel::SpmvCsrTiled { tile_cols: 8 });
         assert!(ArrayLayout::elem(l.row_offsets, 5 * 3 - 1) + ELEM_BYTES <= l.coords);
     }
 
     #[test]
     fn end_bounds_every_region() {
         let a = sample();
-        let l = ArrayLayout::new(&a, Kernel::SpmvCsr, 32);
+        let l = ArrayLayout::new(&a, Kernel::SpmvCsr);
         let nnz = a.nnz() as u64;
         assert_eq!(l.end % 32, 0, "end must be line aligned");
         assert!(ArrayLayout::elem(l.bins, 2 * nnz - 1) + ELEM_BYTES <= l.end);
@@ -257,7 +254,7 @@ mod tests {
             Kernel::SpmmCsr { k: 4 },
             Kernel::SpmvBlocked { bins: 2 },
         ] {
-            let l = ArrayLayout::new(&a, kernel, 32);
+            let l = ArrayLayout::new(&a, kernel);
             assert_eq!(l.b_row_offsets, l.end, "{kernel:?}");
             assert_eq!(l.c_values, l.end, "{kernel:?}");
         }
@@ -267,7 +264,7 @@ mod tests {
     fn spgemm_layout_reserves_operand_and_output_regions() {
         let a = sample();
         let profile = spgemm_profile(&a, &a).unwrap();
-        let l = ArrayLayout::for_pair(&a, &a, &profile, 32);
+        let l = ArrayLayout::for_pair(&a, &a, &profile);
         let bases = [
             l.row_offsets,
             l.coords,
@@ -294,20 +291,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "ArrayLayout::for_pair")]
     fn one_operand_layout_refuses_spgemm_kernels() {
-        let _ = ArrayLayout::new(&sample(), Kernel::SpGemmGustavson, 32);
+        let _ = ArrayLayout::new(&sample(), Kernel::SpGemmGustavson);
     }
 
     #[test]
     fn blocked_offsets_region_holds_the_csc_column_offsets() {
         // 2 x 40: the blocked kernel reads 41 column offsets, not 3.
         let a = CsrMatrix::new(2, 40, vec![0, 1, 2], vec![39, 0], vec![1.0, 1.0]).unwrap();
-        let l = ArrayLayout::new(&a, Kernel::SpmvBlocked { bins: 2 }, 32);
+        let l = ArrayLayout::new(&a, Kernel::SpmvBlocked { bins: 2 });
         assert!(ArrayLayout::elem(l.row_offsets, 40) + ELEM_BYTES <= l.coords);
         // A square matrix keeps its `n + 1` offsets, byte for byte.
         let sq = sample();
         assert_eq!(
-            ArrayLayout::new(&sq, Kernel::SpmvBlocked { bins: 2 }, 32),
-            ArrayLayout::new(&sq, Kernel::SpmvCsr, 32)
+            ArrayLayout::new(&sq, Kernel::SpmvBlocked { bins: 2 }),
+            ArrayLayout::new(&sq, Kernel::SpmvCsr)
         );
     }
 }

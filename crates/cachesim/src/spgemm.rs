@@ -21,11 +21,11 @@
 //! cache simulator measures.
 
 use commorder_sparse::kernels::{spgemm_profile, SpGemmProfile};
-use commorder_sparse::{traffic::Kernel, CsrMatrix, SparseError, ELEM_BYTES};
+use commorder_sparse::{traffic::Kernel, CsrMatrix, SparseError};
 
-use crate::layout::ArrayLayout;
+use crate::layout::{audited, ArrayLayout};
 use crate::source::TraceSource;
-use crate::trace::Access;
+use crate::trace::{read_bounds, Access};
 
 /// A replayable SpGEMM trace over an `(A, B)` operand pair.
 ///
@@ -91,7 +91,7 @@ impl<'a> SpGemmTrace<'a> {
             b,
             row_order,
             profile,
-            layout: ArrayLayout::for_pair(a, b, &profile, 32),
+            layout: ArrayLayout::for_pair(a, b, &profile),
             accumulator_peak,
         })
     }
@@ -140,14 +140,7 @@ impl<'a> SpGemmTrace<'a> {
         sink: &mut dyn FnMut(Access),
     ) {
         let layout = &self.layout;
-        sink(Access::read(ArrayLayout::elem(
-            layout.row_offsets,
-            u64::from(r),
-        )));
-        sink(Access::read(ArrayLayout::elem(
-            layout.row_offsets,
-            u64::from(r) + 1,
-        )));
+        read_bounds(layout.row_offsets, u64::from(r), sink);
         let (a_cols, _) = self.a.row(r);
         let a_lo = u64::from(self.a.row_offsets()[r as usize]);
         row_cols.clear();
@@ -155,14 +148,7 @@ impl<'a> SpGemmTrace<'a> {
             let pos = a_lo + i as u64;
             sink(Access::read(ArrayLayout::elem(layout.coords, pos)));
             sink(Access::read(ArrayLayout::elem(layout.values, pos)));
-            sink(Access::read(ArrayLayout::elem(
-                layout.b_row_offsets,
-                u64::from(k),
-            )));
-            sink(Access::read(ArrayLayout::elem(
-                layout.b_row_offsets,
-                u64::from(k) + 1,
-            )));
+            read_bounds(layout.b_row_offsets, u64::from(k), sink);
             let (b_cols, _) = self.b.row(k);
             let b_lo = u64::from(self.b.row_offsets()[k as usize]);
             for (p, &j) in b_cols.iter().enumerate() {
@@ -212,15 +198,7 @@ impl TraceSource for SpGemmTrace<'_> {
     }
 
     fn replay(&self, sink: &mut dyn FnMut(Access)) {
-        let end = self.layout.end;
-        let mut audited = |acc: Access| {
-            commorder_sparse::debug_validate!(
-                acc.addr().is_multiple_of(ELEM_BYTES) && acc.addr() + ELEM_BYTES <= end,
-                "spgemm access {:#x} misaligned or beyond operand end {end:#x}",
-                acc.addr()
-            );
-            sink(acc);
-        };
+        let mut audited = audited(self.layout.end, sink);
         let mut stamp = vec![0u32; self.b.n_cols() as usize];
         let mut row_cols: Vec<u32> = Vec::new();
         let mut out_cursor = 0u64;
@@ -413,7 +391,7 @@ mod tests {
         let mut coord_writes = Vec::new();
         t.replay(&mut |acc| {
             if acc.is_write() && acc.addr() >= layout.c_coords && acc.addr() < layout.c_values {
-                coord_writes.push((acc.addr() - layout.c_coords) / u64::from(ELEM_BYTES as u32));
+                coord_writes.push((acc.addr() - layout.c_coords) / commorder_sparse::ELEM_BYTES);
             }
         });
         let expect: Vec<u64> = (0..t.profile().result_nnz).collect();

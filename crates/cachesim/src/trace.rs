@@ -22,14 +22,14 @@ use std::fmt;
 
 use commorder_sparse::{traffic::Kernel, CsrMatrix, Permutation, ELEM_BYTES};
 
-use crate::layout::ArrayLayout;
+use crate::layout::{audited, ArrayLayout, LAYOUT_LINE_BYTES};
 
 /// Tag bit marking a store; the remaining 63 bits hold the byte address.
 const WRITE_BIT: u64 = 1 << 63;
 
-/// Line size of the [`ArrayLayout`] kernel traces are generated on: a
-/// `k`-wide dense row costs one access per line it touches.
-const LAYOUT_LINE_BYTES: u32 = 32;
+/// Elements per layout line: a `k`-wide dense row of SpMM's `B` or `C`
+/// costs one access per line it touches.
+const LINE_ELEMS: u64 = LAYOUT_LINE_BYTES as u64 / ELEM_BYTES;
 
 /// One memory access of a kernel trace, packed into 8 bytes.
 ///
@@ -131,8 +131,8 @@ pub fn for_each_access<F: FnMut(Access)>(
         }
         return;
     }
-    let layout = ArrayLayout::new(a, kernel, LAYOUT_LINE_BYTES);
-    let mut sink = audited(&layout, raw_sink);
+    let layout = ArrayLayout::new(a, kernel);
+    let mut sink = audited(layout.end, raw_sink);
     match kernel {
         // Tiles are a serialization barrier (partial sums must land
         // before the next tile); interleaving happens within a tile,
@@ -142,21 +142,6 @@ pub fn for_each_access<F: FnMut(Access)>(
         // does not change their reuse structure.
         Kernel::SpmvBlocked { bins } => blocked_accesses(a, &layout, bins, &mut sink),
         _ => walk_rows(a, kernel, model, &layout, &mut sink),
-    }
-}
-
-/// Wraps `sink` so that, under `strict-checks`, every emitted access is
-/// audited against the operand address space: element-aligned and below
-/// `layout.end`.
-fn audited<F: FnMut(Access)>(layout: &ArrayLayout, mut sink: F) -> impl FnMut(Access) {
-    let end = layout.end;
-    move |acc: Access| {
-        commorder_sparse::debug_validate!(
-            acc.addr().is_multiple_of(ELEM_BYTES) && acc.addr() + ELEM_BYTES <= end,
-            "trace access {:#x} misaligned or beyond operand end {end:#x}",
-            acc.addr()
-        );
-        sink(acc);
     }
 }
 
@@ -288,8 +273,8 @@ pub(crate) fn for_each_relabelled_access(
     sink: &mut dyn FnMut(Access),
 ) {
     // `P·A·Pᵀ` has `a`'s shape and entry count, so it has `a`'s layout.
-    let layout = ArrayLayout::new(rows.matrix(), kernel, LAYOUT_LINE_BYTES);
-    walk_rows(rows, kernel, model, &layout, &mut audited(&layout, sink));
+    let layout = ArrayLayout::new(rows.matrix(), kernel);
+    walk_rows(rows, kernel, model, &layout, &mut audited(layout.end, sink));
 }
 
 /// The row walk shared by SpMV-CSR, SpMV-COO and SpMM-CSR under either
@@ -356,10 +341,7 @@ pub(crate) fn shape_access_count(a: &CsrMatrix, kernel: Kernel) -> Option<u64> {
         Kernel::SpmvCoo => Some(5 * nnz),
         // Per row two offsets and the lines of `C`'s row; per entry
         // coords, values and the lines of `B`'s row.
-        Kernel::SpmmCsr { k } => {
-            let lines = u64::from(k).div_ceil(u64::from(LAYOUT_LINE_BYTES) / ELEM_BYTES);
-            Some((2 + lines) * (rows + nnz))
-        }
+        Kernel::SpmmCsr { k } => Some((2 + u64::from(k).div_ceil(LINE_ELEMS)) * (rows + nnz)),
         _ => None,
     }
 }
@@ -389,18 +371,18 @@ fn row_accesses<F: FnMut(Access)>(
     cols: &[u32],
     sink: &mut F,
 ) {
-    sink(Access::read(ArrayLayout::elem(
-        layout.row_offsets,
-        u64::from(r),
-    )));
-    sink(Access::read(ArrayLayout::elem(
-        layout.row_offsets,
-        u64::from(r) + 1,
-    )));
+    read_bounds(layout.row_offsets, u64::from(r), sink);
     for (j, &col) in cols.iter().enumerate() {
         nz_accesses(kernel, layout, lo + j as u64, col, sink);
     }
     row_epilogue(kernel, layout, r, sink);
+}
+
+/// Reads the two offsets `i` and `i + 1` of the offsets array at `base`
+/// that bound row (or column) `i`'s entries.
+pub(crate) fn read_bounds<F: FnMut(Access) + ?Sized>(base: u64, i: u64, sink: &mut F) {
+    sink(Access::read(ArrayLayout::elem(base, i)));
+    sink(Access::read(ArrayLayout::elem(base, i + 1)));
 }
 
 /// Accesses for one stored entry at CSR position `i` with column `col`.
@@ -420,16 +402,8 @@ fn nz_accesses<F: FnMut(Access)>(
         | Kernel::SpmvBlocked { .. } => {
             sink(Access::read(ArrayLayout::elem(layout.x, u64::from(col))))
         }
-        Kernel::SpmmCsr { k } => {
-            // Touch each cache line of the k-wide dense row of B.
-            let start = u64::from(col) * u64::from(k);
-            let step = u64::from(layout.line_bytes) / ELEM_BYTES;
-            let mut j = 0u64;
-            while j < u64::from(k) {
-                sink(Access::read(ArrayLayout::elem(layout.b, start + j)));
-                j += step;
-            }
-        }
+        // Touch each cache line of the k-wide dense row of B.
+        Kernel::SpmmCsr { k } => dense_row(layout.b, col, k, false, sink),
         Kernel::SpGemmGustavson | Kernel::SpGemmClusterWise => {
             unreachable!("SpGEMM traces come from crate::spgemm, not the dense-operand row walk")
         }
@@ -445,18 +419,19 @@ fn row_epilogue<F: FnMut(Access)>(kernel: Kernel, layout: &ArrayLayout, r: u32, 
         | Kernel::SpmvBlocked { .. } => {
             sink(Access::write(ArrayLayout::elem(layout.y, u64::from(r))))
         }
-        Kernel::SpmmCsr { k } => {
-            let start = u64::from(r) * u64::from(k);
-            let step = u64::from(layout.line_bytes) / ELEM_BYTES;
-            let mut j = 0u64;
-            while j < u64::from(k) {
-                sink(Access::write(ArrayLayout::elem(layout.c, start + j)));
-                j += step;
-            }
-        }
+        Kernel::SpmmCsr { k } => dense_row(layout.c, r, k, true, sink),
         Kernel::SpGemmGustavson | Kernel::SpGemmClusterWise => {
             unreachable!("SpGEMM traces come from crate::spgemm, not the dense-operand row walk")
         }
+    }
+}
+
+/// One access per line of row `row` of the row-major, `k`-wide dense
+/// matrix at `base`.
+fn dense_row<F: FnMut(Access)>(base: u64, row: u32, k: u32, write: bool, sink: &mut F) {
+    let start = u64::from(row) * u64::from(k);
+    for j in (0..u64::from(k)).step_by(LINE_ELEMS as usize) {
+        sink(Access::new(ArrayLayout::elem(base, start + j), write));
     }
 }
 
@@ -499,14 +474,7 @@ fn blocked_accesses<F: FnMut(Access)>(
     // Phase 1: CSC stream + bin scatter (bin writes are streaming within
     // each bin's segment).
     for c in 0..csc.n_rows() {
-        sink(Access::read(ArrayLayout::elem(
-            layout.row_offsets,
-            u64::from(c),
-        )));
-        sink(Access::read(ArrayLayout::elem(
-            layout.row_offsets,
-            u64::from(c) + 1,
-        )));
+        read_bounds(layout.row_offsets, u64::from(c), sink);
         let (rows, _) = csc.row(c); // column c of A
         if rows.is_empty() {
             continue;
@@ -551,15 +519,7 @@ fn tiled_accesses<F: FnMut(Access)>(
     while tile_start < a.n_cols() {
         let tile_end = tile_start.saturating_add(tile_cols).min(a.n_cols());
         for r in 0..a.n_rows() {
-            let off_base = tile_idx * (n + 1) + u64::from(r);
-            sink(Access::read(ArrayLayout::elem(
-                layout.row_offsets,
-                off_base,
-            )));
-            sink(Access::read(ArrayLayout::elem(
-                layout.row_offsets,
-                off_base + 1,
-            )));
+            read_bounds(layout.row_offsets, tile_idx * (n + 1) + u64::from(r), sink);
             let (cols, _) = a.row(r);
             let lo = cols.partition_point(|&c| c < tile_start);
             let hi = cols.partition_point(|&c| c < tile_end);
@@ -640,14 +600,7 @@ fn interleave<R: RowSource + ?Sized, F: FnMut(Access)>(
                 rows.stage(next_row, &mut s.buf);
                 next_lo += u64::from(rows.row_len(next_row));
                 next_row += 1;
-                sink(Access::read(ArrayLayout::elem(
-                    layout.row_offsets,
-                    u64::from(s.row),
-                )));
-                sink(Access::read(ArrayLayout::elem(
-                    layout.row_offsets,
-                    u64::from(s.row) + 1,
-                )));
+                read_bounds(layout.row_offsets, u64::from(s.row), sink);
             }
             progressed = true;
             let cols = rows.cols(s.row, &s.buf);
@@ -809,7 +762,7 @@ mod tests {
             vec![1.0; 6],
         )
         .unwrap();
-        let layout = ArrayLayout::new(&a, Kernel::SpmvCoo, 32);
+        let layout = ArrayLayout::new(&a, Kernel::SpmvCoo);
         let entry = |i: u64, row: u64| {
             let col = u64::from(a.col_indices()[i as usize]);
             [
@@ -847,7 +800,7 @@ mod tests {
     #[test]
     fn x_reads_follow_column_indices() {
         let a = sample();
-        let layout = ArrayLayout::new(&a, Kernel::SpmvCsr, 32);
+        let layout = ArrayLayout::new(&a, Kernel::SpmvCsr);
         let t = collect_trace(&a, Kernel::SpmvCsr, ExecutionModel::Sequential);
         let x_reads: Vec<u64> = t
             .iter()
@@ -860,7 +813,7 @@ mod tests {
     #[test]
     fn tiled_trace_covers_every_entry_once() {
         let a = sample();
-        let layout = ArrayLayout::new(&a, Kernel::SpmvCsrTiled { tile_cols: 2 }, 32);
+        let layout = ArrayLayout::new(&a, Kernel::SpmvCsrTiled { tile_cols: 2 });
         let t = collect_trace(
             &a,
             Kernel::SpmvCsrTiled { tile_cols: 2 },
@@ -945,7 +898,7 @@ mod blocked_tests {
     #[test]
     fn blocked_bin_storage_written_once_and_read_once() {
         let a = sample();
-        let layout = ArrayLayout::new(&a, Kernel::SpmvBlocked { bins: 2 }, 32);
+        let layout = ArrayLayout::new(&a, Kernel::SpmvBlocked { bins: 2 });
         let t = collect_trace(
             &a,
             Kernel::SpmvBlocked { bins: 2 },
@@ -992,7 +945,7 @@ mod blocked_tests {
         // up to offset 40, which the region must hold.
         let a = CsrMatrix::new(2, 40, vec![0, 1, 2], vec![39, 0], vec![1.0, 1.0]).unwrap();
         let kernel = Kernel::SpmvBlocked { bins: 2 };
-        let layout = ArrayLayout::new(&a, kernel, 32);
+        let layout = ArrayLayout::new(&a, kernel);
         let offsets: Vec<u64> = collect_trace(&a, kernel, ExecutionModel::Sequential)
             .iter()
             .filter(|acc| acc.addr() < layout.coords)

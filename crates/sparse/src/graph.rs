@@ -12,6 +12,41 @@ use crate::{CsrMatrix, SparseError};
 /// Distance marker for unreachable vertices in [`bfs_levels`].
 pub const UNREACHED: u32 = u32::MAX;
 
+/// Checks that `a` is a graph the kernels here can walk: a square
+/// adjacency matrix. [`pagerank`] and the PageRank trace share it.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
+pub fn check_graph(a: &CsrMatrix) -> Result<(), SparseError> {
+    if !a.is_square() {
+        return Err(SparseError::DimensionMismatch {
+            expected: "square matrix".to_string(),
+            found: format!("{} x {}", a.n_rows(), a.n_cols()),
+        });
+    }
+    Ok(())
+}
+
+/// Checks that a BFS on `a` can start at `source`: `a` is a graph and
+/// `source` one of its vertices. [`bfs_levels`] and the BFS trace share
+/// it.
+///
+/// # Errors
+///
+/// As [`check_graph`], and [`SparseError::IndexOutOfBounds`] if
+/// `source >= n`.
+pub fn check_source(a: &CsrMatrix, source: u32) -> Result<(), SparseError> {
+    check_graph(a)?;
+    if source >= a.n_rows() {
+        return Err(SparseError::IndexOutOfBounds {
+            index: source,
+            bound: a.n_rows(),
+        });
+    }
+    Ok(())
+}
+
 /// Pull-based PageRank power iteration:
 /// `pr'[v] = (1-d)/n + d · Σ_{u ∈ in(v)} pr[u] / outdeg(u)`.
 ///
@@ -26,12 +61,7 @@ pub const UNREACHED: u32 = u32::MAX;
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a` is not square.
 pub fn pagerank(a: &CsrMatrix, damping: f32, iterations: u32) -> Result<Vec<f32>, SparseError> {
-    if !a.is_square() {
-        return Err(SparseError::DimensionMismatch {
-            expected: "square matrix".to_string(),
-            found: format!("{} x {}", a.n_rows(), a.n_cols()),
-        });
-    }
+    check_graph(a)?;
     let n = a.n_rows() as usize;
     if n == 0 {
         return Ok(Vec::new());
@@ -65,18 +95,7 @@ pub fn pagerank(a: &CsrMatrix, damping: f32, iterations: u32) -> Result<Vec<f32>
 /// Returns [`SparseError::DimensionMismatch`] if `a` is not square, and
 /// [`SparseError::IndexOutOfBounds`] if `source >= n`.
 pub fn bfs_levels(a: &CsrMatrix, source: u32) -> Result<Vec<u32>, SparseError> {
-    if !a.is_square() {
-        return Err(SparseError::DimensionMismatch {
-            expected: "square matrix".to_string(),
-            found: format!("{} x {}", a.n_rows(), a.n_cols()),
-        });
-    }
-    if source >= a.n_rows() {
-        return Err(SparseError::IndexOutOfBounds {
-            index: source,
-            bound: a.n_rows(),
-        });
-    }
+    check_source(a, source)?;
     let mut level = vec![UNREACHED; a.n_rows() as usize];
     level[source as usize] = 0;
     let mut frontier = vec![source];

@@ -9,8 +9,7 @@
 //! builds no transpose when `a` is its own mirror ([`is_mirrored`]);
 //! community detection reads the view without materializing it, and the
 //! pattern-only reorderers read a mirrored `a` in place
-//! ([`symmetric_pattern`]).
-//! [`mask_incident`] / [`mask_rows`] implement the paper's
+//! ([`symmetric_pattern`]). [`mask_incident`] implements the paper's
 //! insular-sub-matrix experiment (Fig. 6: "evaluated by masking all
 //! non-zeros that do not connect to insular nodes").
 
@@ -266,34 +265,6 @@ pub fn remove_self_loops(a: &CsrMatrix) -> CsrMatrix {
         .expect("filtering preserves CSR invariants")
 }
 
-/// Keeps only the entries whose **row** is marked in `keep`; other rows
-/// become empty (dimensions unchanged).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `keep.len() != n_rows`.
-pub fn mask_rows(a: &CsrMatrix, keep: &[bool]) -> Result<CsrMatrix, SparseError> {
-    if keep.len() != a.n_rows() as usize {
-        return Err(SparseError::DimensionMismatch {
-            expected: format!("keep.len() == n_rows == {}", a.n_rows()),
-            found: format!("keep.len() == {}", keep.len()),
-        });
-    }
-    let mut row_offsets = Vec::with_capacity(a.n_rows() as usize + 1);
-    row_offsets.push(0u32);
-    let mut col_indices = Vec::with_capacity(a.nnz());
-    let mut values = Vec::with_capacity(a.nnz());
-    for r in 0..a.n_rows() {
-        if keep[r as usize] {
-            let (cols, vals) = a.row(r);
-            col_indices.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-        }
-        row_offsets.push(col_indices.len() as u32);
-    }
-    CsrMatrix::new(a.n_rows(), a.n_cols(), row_offsets, col_indices, values)
-}
-
 /// Keeps only entries `(r, c)` where `r` **or** `c` is marked in `keep`
 /// (the paper's "non-zeros that connect to insular nodes", Fig. 6).
 ///
@@ -536,15 +507,6 @@ mod tests {
         let clean = remove_self_loops(&directed_sample());
         assert_eq!(clean.nnz(), 2);
         assert!(clean.iter().all(|(r, c, _)| r != c));
-    }
-
-    #[test]
-    fn mask_rows_keeps_only_marked() {
-        let a = directed_sample();
-        let m = mask_rows(&a, &[true, false, false]).unwrap();
-        assert_eq!(m.nnz(), 1);
-        assert_eq!(m.iter().next(), Some((0, 1, 1.0)));
-        assert!(mask_rows(&a, &[true]).is_err());
     }
 
     #[test]

@@ -51,15 +51,15 @@ fn main() -> Result<(), commorder::sparse::SparseError> {
             "after (MB, hit rate)".into(),
         ],
     );
-    let (mb_a, hr_a) = simulate(&gpu, &PagerankTrace::new(&matrix, 3));
-    let (mb_b, hr_b) = simulate(&gpu, &PagerankTrace::new(&reordered, 3));
+    let (mb_a, hr_a) = simulate(&gpu, &PagerankTrace::new(&matrix, 3)?);
+    let (mb_b, hr_b) = simulate(&gpu, &PagerankTrace::new(&reordered, 3)?);
     table.add_row(vec![
         "PageRank x3".into(),
         format!("{mb_a:.1} MB, {}", Table::percent(hr_a)),
         format!("{mb_b:.1} MB, {}", Table::percent(hr_b)),
     ]);
-    let (mb_a, hr_a) = simulate(&gpu, &BfsTrace::new(&matrix, 0));
-    let (mb_b, hr_b) = simulate(&gpu, &BfsTrace::new(&reordered, 0));
+    let (mb_a, hr_a) = simulate(&gpu, &BfsTrace::new(&matrix, 0)?);
+    let (mb_b, hr_b) = simulate(&gpu, &BfsTrace::new(&reordered, 0)?);
     table.add_row(vec![
         "BFS".into(),
         format!("{mb_a:.1} MB, {}", Table::percent(hr_a)),

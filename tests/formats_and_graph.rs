@@ -137,7 +137,7 @@ fn reordering_cuts_pagerank_traffic() {
     let gpu = GpuSpec::test_scale();
     let run = |matrix: &CsrMatrix| {
         let mut cache = LruCache::new(gpu.l2);
-        cache.consume(&PagerankTrace::new(matrix, 2));
+        cache.consume(&PagerankTrace::new(matrix, 2).expect("square"));
         cache.finish().dram_traffic_bytes()
     };
     let random = run(&m);
@@ -155,7 +155,7 @@ fn bfs_trace_writes_match_reachable_set() {
     let m = community_matrix();
     let levels = bfs_levels(&m, 0).expect("valid source");
     let reached = levels.iter().filter(|&&l| l != UNREACHED).count();
-    let t = BfsTrace::new(&m, 0).collect_trace();
+    let t = BfsTrace::new(&m, 0).expect("valid source").collect_trace();
     // level writes (reached - 1 discoveries) + frontier writes (reached).
     assert_eq!(
         t.iter().filter(|a| a.is_write()).count(),
