@@ -134,21 +134,26 @@ echo "== streamed-generation tripwire (mega tier, ulimit -v 256 MiB)"
   MALLOC_ARENA_MAX=2 ./target/release/commorder-cli corpus stats mega-soc-rmat-1m
 )
 
-echo "== hostile Matrix Market header (ulimit -v 1 GiB)"
+echo "== hostile Matrix Market header and CSR dump (ulimit -v 1 GiB)"
 # fixtures/hostile_header.mtx declares a 4294967295 x 4294967295 matrix
 # with one entry: its row offsets alone would take 16 GiB. The CSR
 # assembler reserves that buffer fallibly, so analyze must fail with
 # the CLI's error exit (1), never abort on allocation failure (SIGABRT,
-# exit 134).
-status=0
-(
-  ulimit -v 1048576
-  ./target/release/commorder-cli analyze fixtures/hostile_header.mtx
-) || status=$?
-if [ "$status" -ne 1 ]; then
-  echo "hostile header: expected exit 1, got $status" >&2
-  exit 1
-fi
+# exit 134). fixtures/hostile_dims.csr declares u64::MAX rows: check
+# must report it (exit 1), never panic on the wrapped row count (101).
+expect_exit_1() {
+  local status=0
+  (
+    ulimit -v 1048576
+    ./target/release/commorder-cli "$@"
+  ) || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "commorder-cli $*: expected exit 1, got $status" >&2
+    exit 1
+  fi
+}
+expect_exit_1 analyze fixtures/hostile_header.mtx
+expect_exit_1 check fixtures/hostile_dims.csr
 
 echo "== streaming-memory tripwire (ulimit -v 256 MiB)"
 # Regression tripwire for reintroduced full-trace materialization: the

@@ -7,8 +7,9 @@
 //! never reused: `XT0002` (`unwrap`) and `XT0005` (`todo!`/
 //! `unimplemented!`) are clippy denies, `XT0101` (`forbid(unsafe_code)`)
 //! and `XT0202` (`[workspace.lints]`) are enforced by the workspace lint
-//! table and cargo, and `XT0401` (crate cycle) is implied by `XT0402`
-//! plus `XT0404`.
+//! table and cargo, `XT0401` (crate cycle) is implied by `XT0402`
+//! plus `XT0404`, and `XT0901` (`unsafe` in an engine crate without a
+//! `// SAFETY:` comment) only ever repeated an `XT0001` finding.
 //!
 //! | Range  | Pass                                              |
 //! |--------|---------------------------------------------------|
@@ -95,9 +96,6 @@ pub const HOT_CLONE: &str = "XT0803";
 /// `format!` inside a loop body of a hot-path-reachable function.
 pub const HOT_FORMAT: &str = "XT0804";
 
-/// `unsafe` token in an engine crate without an adjacent `// SAFETY:`
-/// comment.
-pub const UNSAFE_NO_SAFETY_COMMENT: &str = "XT0901";
 /// Lock acquired while a let-bound guard from an earlier acquisition
 /// is still in scope (lexical lock-order hazard).
 pub const NESTED_LOCK: &str = "XT0902";
@@ -156,7 +154,6 @@ pub const CODE_TABLE: &[&str] = &[
     HOT_COLLECT,
     HOT_CLONE,
     HOT_FORMAT,
-    UNSAFE_NO_SAFETY_COMMENT,
     NESTED_LOCK,
     RELAXED_ORDERING,
     WORKER_PANIC_CALL,

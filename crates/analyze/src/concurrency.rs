@@ -1,11 +1,10 @@
-//! The engine-file concurrency audit (`XT0901`–`XT0903`).
+//! The engine-file concurrency audit (`XT0902`–`XT0903`).
 //!
 //! A panicking or deadlocking worker breaks the engine's determinism
 //! contract, so the engine crates (see `AnalyzerConfig::engine_crates`)
-//! get three lexical checks on top of the workspace-wide rules:
+//! get two lexical checks on top of the workspace-wide rules (an
+//! `unsafe` token anywhere is already `XT0001`):
 //!
-//! * `XT0901` — an `unsafe` token whose nearest preceding non-trivia
-//!   neighbour is not a comment containing `SAFETY:`;
 //! * `XT0902` — a lock acquired (`.lock()`, `.read()`, `.write()`)
 //!   while a *let-bound* guard from an earlier acquisition is still in
 //!   scope (temporaries consumed within their own statement do not
@@ -23,7 +22,7 @@ use std::collections::BTreeSet;
 use crate::codes;
 use crate::findings::{Finding, Severity};
 use crate::items::{code_indices, ident_in, ident_is, in_ranges, is_punct};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 use crate::model::CrateData;
 
 /// Token-anchored finding constructor shared by every rule here.
@@ -54,7 +53,7 @@ pub fn check(crates: &[CrateData], engine_crates: &BTreeSet<String>) -> Vec<Find
     findings
 }
 
-/// `XT0901`–`XT0903` over one engine-crate file.
+/// `XT0902`–`XT0903` over one engine-crate file.
 fn scan_engine_file(f: &crate::model::FileData, findings: &mut Vec<Finding>) {
     let src = &f.src;
     let tokens = &f.tokens;
@@ -68,15 +67,6 @@ fn scan_engine_file(f: &crate::model::FileData, findings: &mut Vec<Finding>) {
         let t = &tokens[idx];
         if in_ranges(t.start, &f.test_ranges) || in_ranges(t.start, &f.macro_ranges) {
             continue;
-        }
-        if ident_is(t, src, "unsafe") && !safety_comment_before(src, tokens, idx) {
-            findings.push(at(
-                codes::UNSAFE_NO_SAFETY_COMMENT,
-                f,
-                t,
-                "`unsafe` without an adjacent `// SAFETY:` comment explaining the proof"
-                    .to_string(),
-            ));
         }
         if ident_is(t, src, "Relaxed")
             && ci >= 3
@@ -118,22 +108,6 @@ fn scan_engine_file(f: &crate::model::FileData, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// `true` when the nearest non-whitespace token before raw index `idx`
-/// is a comment mentioning `SAFETY:`.
-fn safety_comment_before(src: &str, tokens: &[Token], idx: usize) -> bool {
-    for t in tokens[..idx].iter().rev() {
-        match t.kind {
-            TokenKind::Whitespace => continue,
-            TokenKind::LineComment
-            | TokenKind::BlockComment
-            | TokenKind::DocLineComment
-            | TokenKind::DocBlockComment => return t.text(src).contains("SAFETY:"),
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// `true` when the acquisition at code index `ci` produces a guard

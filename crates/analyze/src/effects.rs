@@ -682,7 +682,7 @@ fn nondet_on_report_paths(
 /// interprocedural closure over them. Sites whose caller or callee
 /// lives in an engine crate are excluded: the engine's job-marshaling
 /// buffers are the sanctioned allocation surface of the parallel path,
-/// audited separately by the `XT0901`–`XT0903` engine-file rules.
+/// audited separately by the `XT0902`–`XT0903` engine-file rules.
 fn alloc_in_peraccess_loops(
     crates: &[CrateData],
     graph: &CallGraph,

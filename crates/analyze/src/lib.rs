@@ -23,9 +23,8 @@
 //! 4. [`telemetry_names`] — `span!`/`counter!`/`gauge!`/`observe!`
 //!    string literals diffed against the `names.rs` registry
 //!    (`XT0601`–`XT0604`);
-//! 5. [`concurrency`] — the engine-file audit: `unsafe` without a
-//!    `SAFETY:` comment, nested lock guards, `Ordering::Relaxed`
-//!    (`XT0901`–`XT0903`);
+//! 5. [`concurrency`] — the engine-file audit: nested lock guards and
+//!    `Ordering::Relaxed` (`XT0902`–`XT0903`);
 //! 6. [`callgraph`] — a workspace-wide symbol table and
 //!    intra-workspace call graph with seeded reachability, feeding
 //! 7. [`effects`] — interprocedural effect inference: one token scan

@@ -101,6 +101,14 @@ mod tests {
         let c = CacheConfig::a6000();
         assert_eq!(c.num_lines(), 6 * 1024 * 1024 / 32);
         assert_eq!(c.num_sets(), 6 * 1024 * 1024 / 32 / 16);
+        // Every stock geometry is a positive number of whole sets of
+        // power-of-two lines.
+        for c in [c, CacheConfig::a6000_scaled(), CacheConfig::test_scale()] {
+            assert!(c.line_bytes.is_power_of_two(), "{c:?}");
+            assert!(c.associativity > 0 && c.capacity_bytes > 0, "{c:?}");
+            let set_bytes = u64::from(c.line_bytes) * u64::from(c.associativity);
+            assert!(c.capacity_bytes.is_multiple_of(set_bytes), "{c:?}");
+        }
     }
 
     #[test]

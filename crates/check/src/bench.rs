@@ -9,11 +9,9 @@
 //! regression gate trusts it, so a half-written file or a schema drift
 //! fails loudly instead of silently gating nothing.
 //!
-//! The module also carries [`check_histogram_shape`] (`CHK1204` —
-//! bucket totals and quantiles of a `commorder-obs` histogram must be
-//! mutually consistent). Its sibling invariant, the `CHK1203`
-//! self-time audit, lives in [`crate::telemetry::check_self_time`]
-//! next to the span aggregation that feeds it.
+//! The sibling `CHK1203` self-time audit lives in
+//! [`crate::telemetry::check_self_time`] next to the span aggregation
+//! that feeds it.
 
 use crate::codes;
 use crate::diag::{Diagnostic, Location};
@@ -381,64 +379,6 @@ pub fn check_bench_artifact(contents: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Audits the internal consistency of one `commorder-obs` histogram
-/// (`CHK1204`): bucket counts must sum to the declared total (skipped
-/// once any counter has saturated at `u64::MAX`), `min`/`max` must be
-/// finite and ordered while non-empty, and the exported quantiles must
-/// be monotone within `[min, max]`.
-#[must_use]
-pub fn check_histogram_shape(name: &str, hist: &commorder_obs::Histogram) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let saturated = hist.count == u64::MAX || hist.buckets.contains(&u64::MAX);
-    if !saturated {
-        let sum: u128 = hist.buckets.iter().map(|&b| u128::from(b)).sum();
-        if sum != u128::from(hist.count) {
-            out.push(Diagnostic::error(
-                codes::HIST_SHAPE,
-                Location::whole(name),
-                format!(
-                    "bucket counts sum to {sum} but the histogram declares {} observation(s)",
-                    hist.count
-                ),
-            ));
-        }
-    }
-    if hist.count == 0 {
-        return out;
-    }
-    if !hist.min.is_finite() || !hist.max.is_finite() || hist.min > hist.max {
-        out.push(Diagnostic::error(
-            codes::HIST_SHAPE,
-            Location::whole(name),
-            format!(
-                "non-empty histogram must have finite min <= max, got [{}, {}]",
-                hist.min, hist.max
-            ),
-        ));
-        return out;
-    }
-    let (p50, p95, p99) = (hist.p50(), hist.p95(), hist.p99());
-    if p50 > p95 || p95 > p99 {
-        out.push(Diagnostic::error(
-            codes::HIST_SHAPE,
-            Location::whole(name),
-            format!("quantiles are not monotone: p50={p50} p95={p95} p99={p99}"),
-        ));
-    }
-    if p50 < hist.min || p99 > hist.max {
-        out.push(Diagnostic::error(
-            codes::HIST_SHAPE,
-            Location::whole(name),
-            format!(
-                "quantiles escape the observed range: p50={p50} p99={p99} \
-                 outside [{}, {}]",
-                hist.min, hist.max
-            ),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,68 +511,5 @@ mod tests {
         let r = report("{\n  \"schema\": \"commorder-bench.v2\",\n");
         assert!(!r.is_clean());
         assert!(r.codes().contains(&codes::BENCH_SCHEMA));
-    }
-
-    #[test]
-    fn real_histograms_pass_the_shape_check() {
-        use commorder_obs::Sink as _;
-        let registry = commorder_obs::Registry::new();
-        // Drive through the public sink API to aggregate real values.
-        for i in 1..=100 {
-            registry.record(&commorder_obs::Event::Observe {
-                name: "exec.queue_wait_seconds",
-                value: f64::from(i) * 1e-6,
-            });
-        }
-        let hist = registry
-            .histogram("exec.queue_wait_seconds")
-            .expect("observations were recorded");
-        assert_eq!(hist.count, 100);
-        let diags = check_histogram_shape("exec.queue_wait_seconds", &hist);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn corrupted_histograms_are_chk1204() {
-        let mut hist = commorder_obs::Histogram {
-            count: 5,
-            sum: 5.0,
-            min: 1.0,
-            max: 1.0,
-            buckets: [0; 64],
-        };
-        hist.buckets[30] = 4; // sum 4 != count 5
-        let diags = check_histogram_shape("h", &hist);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, codes::HIST_SHAPE);
-
-        let inverted = commorder_obs::Histogram {
-            count: 1,
-            sum: 1.0,
-            min: 2.0,
-            max: 1.0,
-            buckets: {
-                let mut b = [0; 64];
-                b[30] = 1;
-                b
-            },
-        };
-        let diags = check_histogram_shape("h", &inverted);
-        assert!(diags.iter().any(|d| d.message.contains("min <= max")));
-    }
-
-    #[test]
-    fn saturated_histograms_skip_the_sum_check() {
-        let mut hist = commorder_obs::Histogram {
-            count: u64::MAX,
-            sum: 1.0,
-            min: 1e-9,
-            max: 1.0,
-            buckets: [0; 64],
-        };
-        hist.buckets[0] = u64::MAX;
-        hist.buckets[30] = 7;
-        let diags = check_histogram_shape("h", &hist);
-        assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -2,19 +2,26 @@
 //!
 //! Codes are grouped by hundreds per checked domain and are **append
 //! only**: a published code never changes meaning, so golden files and
-//! downstream tooling can match on them forever. A retired code (such
-//! as `CHK1101`–`CHK1103`) is deleted from the table and never reused.
+//! downstream tooling can match on them forever. A retired code is
+//! deleted from the table and never reused:
+//!
+//! * `CHK0301`–`CHK0303` (ELL / SELL-C-σ storage), `CHK0701`–`CHK0703`
+//!   (cache geometry), `CHK0801`–`CHK0804` (GPU spec) and `CHK1204`
+//!   (histogram shape) audited objects that never cross a boundary:
+//!   padded storage is built only from a checked CSR, cache geometry is
+//!   rejected by `PipelineBuilder::build`, the stock GPU specs are
+//!   constants pinned by their unit tests, and histogram shape is
+//!   pinned by the `commorder-obs` registry tests;
+//! * `CHK1101`–`CHK1103` validated the analyzer report, which its
+//!   goldens pin.
 //!
 //! | Range   | Domain                                  |
 //! |---------|-----------------------------------------|
-//! | CHK01xx | CSR/CSC offsets and index arrays        |
+//! | CHK01xx | CSR offsets and index arrays            |
 //! | CHK02xx | COO entry lists                         |
-//! | CHK03xx | ELL / SELL-C-σ padded storage           |
 //! | CHK04xx | Permutations                            |
 //! | CHK05xx | Community assignments                   |
 //! | CHK06xx | Address traces                          |
-//! | CHK07xx | Cache configuration                     |
-//! | CHK08xx | GPU specification                       |
 //! | CHK09xx | Telemetry JSONL streams                 |
 //! | CHK10xx | Streaming trace sources and next-use    |
 //! | CHK12xx | Bench artifacts and profile invariants  |
@@ -45,13 +52,6 @@ pub const COO_VALUE_NONFINITE: &str = "CHK0203";
 /// Duplicate COO coordinate (construction would merge by summing).
 pub const COO_DUPLICATE: &str = "CHK0204";
 
-/// ELL padded storage length disagrees with `n_rows * width`.
-pub const ELL_STORAGE: &str = "CHK0301";
-/// ELL non-pad column index out of bounds.
-pub const ELL_COL_BOUNDS: &str = "CHK0302";
-/// SELL slice descriptors are inconsistent with the padded storage.
-pub const SELL_SLICES: &str = "CHK0303";
-
 /// Permutation entry out of range.
 pub const PERM_RANGE: &str = "CHK0401";
 /// Permutation target id appears more than once (not injective).
@@ -74,22 +74,6 @@ pub const TRACE_SECTOR: &str = "CHK0602";
 pub const TRACE_BOUNDS: &str = "CHK0603";
 /// Empty trace for a non-empty matrix.
 pub const TRACE_EMPTY: &str = "CHK0604";
-
-/// Cache geometry field is zero.
-pub const CACHE_ZERO: &str = "CHK0701";
-/// Cache capacity is not a whole number of sets.
-pub const CACHE_RAGGED: &str = "CHK0702";
-/// Cache line size is not a power of two.
-pub const CACHE_LINE_POW2: &str = "CHK0703";
-
-/// GPU bandwidth/compute constant is not positive and finite.
-pub const GPU_CONSTANTS: &str = "CHK0801";
-/// Measured bandwidth exceeds theoretical peak.
-pub const GPU_BANDWIDTH_ORDER: &str = "CHK0802";
-/// Fine-grain penalty outside the calibrated range.
-pub const GPU_PENALTY_RANGE: &str = "CHK0803";
-/// L2 capacity exceeds main-memory capacity.
-pub const GPU_L2_CAPACITY: &str = "CHK0804";
 
 /// Telemetry line is not a flat JSON object.
 pub const TELEM_PARSE: &str = "CHK0901";
@@ -128,9 +112,6 @@ pub const BENCH_METRIC: &str = "CHK1202";
 /// Exclusive self-time invariant violated: the summed inclusive time of
 /// a span path's direct children exceeds the path's own inclusive time.
 pub const SELF_TIME: &str = "CHK1203";
-/// Histogram shape invariant violated: bucket counts disagree with the
-/// total, quantiles are non-monotone, or min/max are inconsistent.
-pub const HIST_SHAPE: &str = "CHK1204";
 
 /// Every live code, in code order.
 pub const CODE_TABLE: &[&str] = &[
@@ -146,9 +127,6 @@ pub const CODE_TABLE: &[&str] = &[
     COO_COL_BOUNDS,
     COO_VALUE_NONFINITE,
     COO_DUPLICATE,
-    ELL_STORAGE,
-    ELL_COL_BOUNDS,
-    SELL_SLICES,
     PERM_RANGE,
     PERM_DUPLICATE,
     PERM_LENGTH,
@@ -159,13 +137,6 @@ pub const CODE_TABLE: &[&str] = &[
     TRACE_SECTOR,
     TRACE_BOUNDS,
     TRACE_EMPTY,
-    CACHE_ZERO,
-    CACHE_RAGGED,
-    CACHE_LINE_POW2,
-    GPU_CONSTANTS,
-    GPU_BANDWIDTH_ORDER,
-    GPU_PENALTY_RANGE,
-    GPU_L2_CAPACITY,
     TELEM_PARSE,
     TELEM_FIELD,
     TELEM_TYPE,
@@ -179,7 +150,6 @@ pub const CODE_TABLE: &[&str] = &[
     BENCH_SCHEMA,
     BENCH_METRIC,
     SELF_TIME,
-    HIST_SHAPE,
 ];
 
 #[cfg(test)]

@@ -165,6 +165,14 @@ fn check_csr_dump(contents: &str) -> Vec<Diagnostic> {
         ));
         return out;
     };
+    // A `CsrMatrix` indexes rows and columns with `u32`.
+    if n_rows.max(n_cols) > u64::from(u32::MAX) {
+        out.push(parse_error(
+            line_no,
+            format!("dimensions {n_rows} x {n_cols} exceed the u32 index range"),
+        ));
+        return out;
+    }
     let Some((off_no, off_line)) = lines.next() else {
         out.push(parse_error(0, "missing row_offsets line".to_string()));
         return out;
@@ -305,6 +313,15 @@ mod tests {
         let dump = "2 3\n0 1 2\n0 2\n";
         let r = check_file_contents("ok.csr", dump);
         assert!(r.diagnostics.is_empty(), "{}", r.render_text());
+    }
+
+    #[test]
+    fn csr_dump_dimensions_beyond_u32_are_parse_errors() {
+        let r = check_file_contents("hostile_dims.csr", "18446744073709551615 1\nx\nx\n");
+        assert_eq!(r.codes(), vec![PARSE_CODE], "{}", r.render_text());
+        // Clean at any declared width, but no `CsrMatrix` has 2^32 columns.
+        let r = check_file_contents("wide.csr", "1 4294967296\n0 1\n4294967295\n");
+        assert_eq!(r.codes(), vec![PARSE_CODE], "{}", r.render_text());
     }
 
     #[test]

@@ -1,22 +1,30 @@
 //! Invariant auditing for the `commorder` workspace.
 //!
-//! Every data object the reproduction pipeline moves between stages —
-//! sparse matrices, permutations, community assignments, address traces,
-//! cache and GPU configurations — has structural invariants that the
-//! typed constructors enforce at build time. This crate re-derives those
-//! invariants as *composable validators* that never panic: each check
-//! walks the object and emits [`Diagnostic`] records with stable `CHK`
-//! codes (see [`codes`]), collected into a [`CheckReport`] that renders
-//! as human-readable text or stable-key JSON.
+//! The typed constructors enforce every structural invariant at build
+//! time. This crate re-derives the invariants of the objects that cross
+//! a boundary — sparse matrices, permutations, community assignments,
+//! address traces, telemetry streams and bench artifacts — as
+//! *composable validators* that never panic: each check walks the
+//! object and emits [`Diagnostic`] records with stable `CHK` codes (see
+//! [`codes`]), collected into a [`CheckReport`] that renders as
+//! human-readable text or stable-key JSON. Objects that are only ever
+//! built by a constructor from an already-audited object (CSC, ELL and
+//! SELL storage) or are constants (`CacheConfig`, `GpuSpec`) get no
+//! validator: their constructors and unit tests carry the invariants.
 //!
-//! The crate has three consumers:
+//! The crate has four consumers:
 //!
 //! 1. **`commorder-cli check <file>`** audits on-disk fixtures through
 //!    the lenient parsers in [`ingest`] — a corrupted file produces the
 //!    full finding list, not a single parse abort.
-//! 2. **Golden and unit tests** assert that pipelines keep objects well
-//!    formed and that each corruption is flagged with the expected code.
-//! 3. **Property tests** use [`propcheck`], the vendored deterministic
+//! 2. **perfbench** audits every generated matrix, permutation and
+//!    community assignment in set-up ([`check_csr`],
+//!    [`check_permutation`], [`check_assignment`]).
+//! 3. **Golden and unit tests** assert that pipelines keep objects well
+//!    formed and that each corruption is flagged with the expected code;
+//!    [`check_stream_equivalence`] and [`check_next_use`] are the
+//!    oracles of the streamed trace sources.
+//! 4. **Property tests** use [`propcheck`], the vendored deterministic
 //!    harness (no registry dependencies), to drive validators and
 //!    library invariants over random inputs.
 //!
@@ -47,13 +55,11 @@ pub mod stream;
 pub mod telemetry;
 pub mod trace;
 
-pub use bench::{check_bench_artifact, check_histogram_shape};
+pub use bench::check_bench_artifact;
 pub use diag::{CheckReport, Diagnostic, Location, Severity};
 pub use ingest::check_file_contents;
-pub use matrix::{
-    check_coo, check_coo_parts, check_csc, check_csr, check_csr_parts, check_ell, check_sell,
-};
+pub use matrix::{check_coo_parts, check_csr, check_csr_parts};
 pub use perm::{check_assignment, check_permutation, check_permutation_parts};
 pub use stream::{check_next_use, check_stream_equivalence};
 pub use telemetry::{check_self_time, check_telemetry, parse_flat_object, Json};
-pub use trace::{check_cache_config, check_gpu_spec, check_trace};
+pub use trace::check_trace;

@@ -2,19 +2,21 @@
 //!
 //! The typed constructors in `commorder-sparse` already enforce these
 //! invariants at build time; the validators here re-derive them from the
-//! stored arrays so that (a) fixtures ingested from disk can be audited
-//! *before* construction ([`check_csr_parts`]) and (b) golden tests can
-//! assert that in-memory objects remain well formed after arbitrary
-//! pipelines of conversions and permutations.
+//! raw arrays where a matrix crosses a boundary: fixtures ingested from
+//! disk are audited *before* construction ([`check_csr_parts`],
+//! [`check_coo_parts`]), and generated matrices are audited once built
+//! ([`check_csr`]). CSC, ELL and SELL storage is only ever built from a
+//! checked CSR through `CscMatrix::from` / `from_csr`, so it has no
+//! validator of its own.
 
-use commorder_sparse::{CooMatrix, CscMatrix, CsrMatrix, EllMatrix, SellMatrix, ELL_PAD};
+use commorder_sparse::CsrMatrix;
 
 use crate::codes;
 use crate::diag::{Diagnostic, Location};
 
-/// Audits raw CSR-shaped arrays (also used for CSC with rows/columns
-/// exchanged): offsets length/start/monotonicity/last entry, index
-/// bounds, per-row strict ordering, values length, and value finiteness.
+/// Audits raw CSR arrays: offsets length/start/monotonicity/last entry,
+/// index bounds, per-row strict ordering, values length, and value
+/// finiteness.
 ///
 /// `object` prefixes every location, e.g. `"csr"` yields findings at
 /// `csr.row_offsets[i]`, `csr.col_indices[i]`, `csr.values[i]`.
@@ -31,14 +33,15 @@ pub fn check_csr_parts(
     let offsets_obj = format!("{object}.row_offsets");
     let indices_obj = format!("{object}.col_indices");
 
-    if row_offsets.len() as u64 != n_rows + 1 {
+    // Widened so that no declared row count can wrap the `+ 1`.
+    let want_offsets = u128::from(n_rows) + 1;
+    if row_offsets.len() as u128 != want_offsets {
         out.push(Diagnostic::error(
             codes::OFFSETS_LENGTH,
             Location::whole(&offsets_obj),
             format!(
-                "offsets length {} but n_rows + 1 = {}",
-                row_offsets.len(),
-                n_rows + 1
+                "offsets length {} but n_rows + 1 = {want_offsets}",
+                row_offsets.len()
             ),
         ));
         // The remaining offset checks assume the documented shape.
@@ -110,8 +113,8 @@ pub fn check_csr_parts(
     // Per-row ordering is only meaningful when offsets describe valid
     // slices of the index array.
     if monotone && row_offsets.last().copied().unwrap_or(0) as usize == col_indices.len() {
-        for r in 0..n_rows as usize {
-            let (lo, hi) = (row_offsets[r] as usize, row_offsets[r + 1] as usize);
+        for (r, w) in row_offsets.windows(2).enumerate() {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
             for k in lo + 1..hi {
                 if col_indices[k - 1] >= col_indices[k] {
                     out.push(Diagnostic::error(
@@ -142,30 +145,6 @@ pub fn check_csr(m: &CsrMatrix) -> Vec<Diagnostic> {
         m.col_indices(),
         Some(m.values()),
     )
-}
-
-/// Audits a constructed [`CscMatrix`] — the same checks with rows and
-/// columns exchanged; locations use `csc.col_offsets`/`csc.row_indices`.
-#[must_use]
-pub fn check_csc(m: &CscMatrix) -> Vec<Diagnostic> {
-    check_csr_parts(
-        "csc",
-        u64::from(m.n_cols()),
-        u64::from(m.n_rows()),
-        m.col_offsets(),
-        m.row_indices(),
-        Some(m.values()),
-    )
-    .into_iter()
-    .map(|mut d| {
-        d.location.object = d
-            .location
-            .object
-            .replace("csc.row_offsets", "csc.col_offsets")
-            .replace("csc.col_indices", "csc.row_indices");
-        d
-    })
-    .collect()
 }
 
 /// Audits raw COO triples against declared dimensions: coordinate
@@ -222,115 +201,6 @@ pub fn check_coo_parts(
     out
 }
 
-/// Audits a constructed [`CooMatrix`].
-#[must_use]
-pub fn check_coo(m: &CooMatrix) -> Vec<Diagnostic> {
-    check_coo_parts(
-        "coo.entries",
-        u64::from(m.n_rows()),
-        u64::from(m.n_cols()),
-        m.entries(),
-    )
-}
-
-/// Audits a constructed [`EllMatrix`]: padded storage size and column
-/// bounds of every non-pad slot.
-#[must_use]
-pub fn check_ell(m: &EllMatrix) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let expect = u64::from(m.n_rows()) * u64::from(m.width());
-    if m.padded_len() as u64 != expect {
-        out.push(Diagnostic::error(
-            codes::ELL_STORAGE,
-            Location::whole("ell.cols"),
-            format!(
-                "padded storage holds {} slots but n_rows x width = {expect}",
-                m.padded_len()
-            ),
-        ));
-        return out;
-    }
-    for slot in 0..m.width() {
-        for row in 0..m.n_rows() {
-            let c = m.col_at(slot, row);
-            if c != ELL_PAD && c >= m.n_cols() {
-                out.push(Diagnostic::error(
-                    codes::ELL_COL_BOUNDS,
-                    Location::at(
-                        "ell.cols",
-                        u64::from(slot) * u64::from(m.n_rows()) + u64::from(row),
-                    ),
-                    format!("column {c} exceeds dimension {}", m.n_cols()),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Audits a constructed [`SellMatrix`]: slice count, per-slice storage,
-/// the σ-sort row mapping (must be a bijection), and column bounds.
-#[must_use]
-pub fn check_sell(m: &SellMatrix) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let n = m.n_rows() as usize;
-    let expect_slices = n.div_ceil(m.c().max(1) as usize);
-    if m.n_slices() != expect_slices {
-        out.push(Diagnostic::error(
-            codes::SELL_SLICES,
-            Location::whole("sell.slices"),
-            format!(
-                "{} slices but ceil(n_rows / c) = {expect_slices}",
-                m.n_slices()
-            ),
-        ));
-        return out;
-    }
-    let stored: u64 = (0..m.n_slices())
-        .map(|s| u64::from(m.slice_width(s)) * u64::from(m.c()))
-        .sum();
-    if m.padded_len() as u64 != stored {
-        out.push(Diagnostic::error(
-            codes::SELL_SLICES,
-            Location::whole("sell.cols"),
-            format!(
-                "padded storage holds {} slots but slice widths sum to {stored}",
-                m.padded_len()
-            ),
-        ));
-    }
-    let mut seen = vec![false; n];
-    for k in 0..m.n_rows() {
-        let r = m.original_row(k) as usize;
-        if r >= n || seen[r] {
-            out.push(Diagnostic::error(
-                codes::SELL_SLICES,
-                Location::at("sell.sorted_rows", u64::from(k)),
-                format!("row map entry {r} is not a bijection on 0..{n}"),
-            ));
-        } else {
-            seen[r] = true;
-        }
-    }
-    for s in 0..m.n_slices() {
-        let lanes = m.c().min((n - s * m.c() as usize) as u32);
-        for slot in 0..m.slice_width(s) {
-            for lane in 0..lanes {
-                if let Some(c) = m.col_at(s, slot, lane) {
-                    if c >= m.n_cols() {
-                        out.push(Diagnostic::error(
-                            codes::ELL_COL_BOUNDS,
-                            Location::whole(&format!("sell.slice[{s}]")),
-                            format!("column {c} exceeds dimension {}", m.n_cols()),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,6 +215,13 @@ mod tests {
     #[test]
     fn wrong_offsets_length_is_chk0101() {
         let d = check_csr_parts("csr", 3, 3, &[0, 1], &[0], Some(&[1.0]));
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].code, codes::OFFSETS_LENGTH);
+    }
+
+    #[test]
+    fn row_count_at_u64_max_is_chk0101_not_a_panic() {
+        let d = check_csr_parts("csr", u64::MAX, 1, &[], &[], None);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, codes::OFFSETS_LENGTH);
     }
@@ -398,13 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn valid_csc_is_clean_and_relabelled() {
-        let csr = CsrMatrix::new(2, 2, vec![0, 1, 2], vec![1, 0], vec![5.0, 7.0]).expect("valid");
-        let csc = CscMatrix::from(&csr);
-        assert!(check_csc(&csc).is_empty());
-    }
-
-    #[test]
     fn coo_out_of_bounds_and_duplicates() {
         let d = check_coo_parts(
             "coo.entries",
@@ -427,27 +297,5 @@ mod tests {
                 codes::COO_DUPLICATE
             ]
         );
-    }
-
-    #[test]
-    fn valid_coo_is_clean() {
-        let m = CooMatrix::from_entries(2, 2, vec![(0, 1, 2.0), (1, 0, 3.0)]).expect("valid");
-        assert!(check_coo(&m).is_empty());
-    }
-
-    #[test]
-    fn valid_ell_and_sell_are_clean() {
-        let csr = CsrMatrix::new(
-            4,
-            4,
-            vec![0, 2, 3, 5, 6],
-            vec![0, 2, 1, 0, 3, 2],
-            vec![1.0; 6],
-        )
-        .expect("valid");
-        let ell = EllMatrix::from_csr(&csr).expect("fits");
-        assert!(check_ell(&ell).is_empty());
-        let sell = SellMatrix::from_csr(&csr, 2, 4).expect("fits");
-        assert!(check_sell(&sell).is_empty());
     }
 }

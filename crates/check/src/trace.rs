@@ -1,7 +1,11 @@
-//! Validators for address traces, cache geometry, and the GPU spec.
+//! Validator for address traces.
+//!
+//! Cache geometry has no validator here: `PipelineBuilder::build`
+//! rejects a bad `CacheConfig` with `InvalidConfig`, and
+//! `CacheConfig::num_lines` asserts it. The stock `GpuSpec`s are
+//! constants pinned by the `commorder-gpumodel` unit tests.
 
-use commorder_cachesim::{Access, CacheConfig};
-use commorder_gpumodel::GpuSpec;
+use commorder_cachesim::Access;
 use commorder_sparse::ELEM_BYTES;
 
 use crate::codes;
@@ -62,130 +66,6 @@ pub fn check_trace(trace: &[Access], end: Option<u64>, line_bytes: u32) -> Vec<D
     out
 }
 
-/// Audits cache geometry: positive line size and associativity
-/// (`CHK0701`), capacity a whole number of sets (`CHK0702`), and — as a
-/// warning — a non-power-of-two line size (`CHK0703`), which no modelled
-/// hardware uses and which breaks the cheap addr/line arithmetic
-/// assumptions elsewhere.
-#[must_use]
-pub fn check_cache_config(config: &CacheConfig) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if config.line_bytes == 0 {
-        out.push(Diagnostic::error(
-            codes::CACHE_ZERO,
-            Location::whole("cache.line_bytes"),
-            "line size must be positive".to_string(),
-        ));
-    }
-    if config.associativity == 0 {
-        out.push(Diagnostic::error(
-            codes::CACHE_ZERO,
-            Location::whole("cache.associativity"),
-            "associativity must be positive".to_string(),
-        ));
-    }
-    if config.capacity_bytes == 0 {
-        out.push(Diagnostic::error(
-            codes::CACHE_ZERO,
-            Location::whole("cache.capacity_bytes"),
-            "capacity must be positive".to_string(),
-        ));
-    }
-    if config.line_bytes > 0 && config.associativity > 0 {
-        let set_bytes = u64::from(config.line_bytes) * u64::from(config.associativity);
-        if !config.capacity_bytes.is_multiple_of(set_bytes) {
-            out.push(Diagnostic::error(
-                codes::CACHE_RAGGED,
-                Location::whole("cache.capacity_bytes"),
-                format!(
-                    "capacity {} is not a multiple of the {set_bytes}-byte set",
-                    config.capacity_bytes
-                ),
-            ));
-        }
-    }
-    if config.line_bytes > 0 && !config.line_bytes.is_power_of_two() {
-        out.push(Diagnostic::warning(
-            codes::CACHE_LINE_POW2,
-            Location::whole("cache.line_bytes"),
-            format!("line size {} is not a power of two", config.line_bytes),
-        ));
-    }
-    out
-}
-
-/// The calibrated bounds for [`GpuSpec::fine_grain_penalty`]; the paper's
-/// Fig. 2 fit gives 0.9, and anything far outside `[0, 5]` no longer
-/// describes a bandwidth-bound device.
-pub const PENALTY_RANGE: (f64, f64) = (0.0, 5.0);
-
-/// Audits a GPU spec: positive finite rate constants (`CHK0801`),
-/// measured bandwidth at or below peak (`CHK0802`), the fine-grain
-/// penalty inside its calibrated range (`CHK0803`), an L2 no larger than
-/// main memory (`CHK0804`), plus the embedded cache geometry checks.
-#[must_use]
-pub fn check_gpu_spec(gpu: &GpuSpec) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let rates = [
-        ("gpu.peak_bandwidth", gpu.peak_bandwidth),
-        ("gpu.measured_bandwidth", gpu.measured_bandwidth),
-        ("gpu.peak_flops_sp", gpu.peak_flops_sp),
-    ];
-    for (object, value) in rates {
-        if !(value.is_finite() && value > 0.0) {
-            out.push(Diagnostic::error(
-                codes::GPU_CONSTANTS,
-                Location::whole(object),
-                format!("rate constant is {value}, must be positive and finite"),
-            ));
-        }
-    }
-    if gpu.memory_capacity == 0 {
-        out.push(Diagnostic::error(
-            codes::GPU_CONSTANTS,
-            Location::whole("gpu.memory_capacity"),
-            "memory capacity must be positive".to_string(),
-        ));
-    }
-    if gpu.measured_bandwidth > gpu.peak_bandwidth {
-        out.push(Diagnostic::error(
-            codes::GPU_BANDWIDTH_ORDER,
-            Location::whole("gpu.measured_bandwidth"),
-            format!(
-                "measured bandwidth {} exceeds theoretical peak {}",
-                gpu.measured_bandwidth, gpu.peak_bandwidth
-            ),
-        ));
-    }
-    if !(gpu.fine_grain_penalty.is_finite()
-        && (PENALTY_RANGE.0..=PENALTY_RANGE.1).contains(&gpu.fine_grain_penalty))
-    {
-        out.push(Diagnostic::error(
-            codes::GPU_PENALTY_RANGE,
-            Location::whole("gpu.fine_grain_penalty"),
-            format!(
-                "penalty {} outside the calibrated range [{}, {}]",
-                gpu.fine_grain_penalty, PENALTY_RANGE.0, PENALTY_RANGE.1
-            ),
-        ));
-    }
-    if gpu.l2.capacity_bytes > gpu.memory_capacity {
-        out.push(Diagnostic::error(
-            codes::GPU_L2_CAPACITY,
-            Location::whole("gpu.l2.capacity_bytes"),
-            format!(
-                "L2 capacity {} exceeds memory capacity {}",
-                gpu.l2.capacity_bytes, gpu.memory_capacity
-            ),
-        ));
-    }
-    out.extend(check_cache_config(&gpu.l2).into_iter().map(|mut d| {
-        d.location.object = format!("gpu.l2.{}", d.location.object.trim_start_matches("cache."));
-        d
-    }));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,91 +106,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, codes::TRACE_EMPTY);
         assert_eq!(d[0].severity, crate::diag::Severity::Warning);
-    }
-
-    #[test]
-    fn stock_cache_configs_are_clean() {
-        for c in [
-            CacheConfig::a6000(),
-            CacheConfig::a6000_scaled(),
-            CacheConfig::test_scale(),
-        ] {
-            assert!(check_cache_config(&c).is_empty(), "{c:?}");
-        }
-    }
-
-    #[test]
-    fn zero_geometry_is_chk0701() {
-        let d = check_cache_config(&CacheConfig {
-            capacity_bytes: 0,
-            line_bytes: 0,
-            associativity: 0,
-        });
-        assert_eq!(d.iter().filter(|d| d.code == codes::CACHE_ZERO).count(), 3);
-    }
-
-    #[test]
-    fn ragged_capacity_is_chk0702() {
-        let d = check_cache_config(&CacheConfig {
-            capacity_bytes: 1000,
-            line_bytes: 32,
-            associativity: 16,
-        });
-        assert!(d.iter().any(|d| d.code == codes::CACHE_RAGGED), "{d:?}");
-    }
-
-    #[test]
-    fn odd_line_size_is_chk0703_warning() {
-        let d = check_cache_config(&CacheConfig {
-            capacity_bytes: 48 * 16,
-            line_bytes: 48,
-            associativity: 16,
-        });
-        let hit = d
-            .iter()
-            .find(|d| d.code == codes::CACHE_LINE_POW2)
-            .expect("finding");
-        assert_eq!(hit.severity, crate::diag::Severity::Warning);
-    }
-
-    #[test]
-    fn stock_gpu_specs_are_clean() {
-        for g in [
-            GpuSpec::a6000(),
-            GpuSpec::a6000_scaled(),
-            GpuSpec::test_scale(),
-        ] {
-            assert!(check_gpu_spec(&g).is_empty(), "{}", g.name);
-        }
-    }
-
-    #[test]
-    fn corrupted_gpu_spec_reports_each_code() {
-        let mut g = GpuSpec::a6000();
-        g.peak_flops_sp = f64::NAN;
-        g.measured_bandwidth = 2.0 * g.peak_bandwidth;
-        g.fine_grain_penalty = -1.0;
-        g.memory_capacity = g.l2.capacity_bytes / 2;
-        let d = check_gpu_spec(&g);
-        for code in [
-            codes::GPU_CONSTANTS,
-            codes::GPU_BANDWIDTH_ORDER,
-            codes::GPU_PENALTY_RANGE,
-            codes::GPU_L2_CAPACITY,
-        ] {
-            assert!(d.iter().any(|d| d.code == code), "missing {code}: {d:?}");
-        }
-    }
-
-    #[test]
-    fn gpu_spec_embeds_cache_findings_with_prefix() {
-        let mut g = GpuSpec::a6000();
-        g.l2.capacity_bytes = 1000;
-        let d = check_gpu_spec(&g);
-        let hit = d
-            .iter()
-            .find(|d| d.code == codes::CACHE_RAGGED)
-            .expect("finding");
-        assert_eq!(hit.location.object, "gpu.l2.capacity_bytes");
     }
 }

@@ -211,6 +211,17 @@ mod tests {
         assert_eq!(g.measured_bandwidth, 672.0e9);
         assert_eq!(g.l2.capacity_bytes, 6 * 1024 * 1024);
         assert_eq!(g.memory_capacity, 48 << 30);
+        // Every stock spec, scaled ones included, is physically sane.
+        for g in [g, GpuSpec::a6000_scaled(), GpuSpec::test_scale()] {
+            for rate in [g.peak_bandwidth, g.measured_bandwidth, g.peak_flops_sp] {
+                assert!(rate.is_finite() && rate > 0.0, "{}: {rate}", g.name);
+            }
+            assert!(g.measured_bandwidth <= g.peak_bandwidth, "{}", g.name);
+            assert!((0.0..=5.0).contains(&g.fine_grain_penalty), "{}", g.name);
+            assert!(g.l2.capacity_bytes <= g.memory_capacity, "{}", g.name);
+            let set_bytes = u64::from(g.l2.line_bytes) * u64::from(g.l2.associativity);
+            assert!(g.l2.capacity_bytes.is_multiple_of(set_bytes), "{}", g.name);
+        }
     }
 
     #[test]

@@ -28,12 +28,12 @@ impl Engine {
         first + self.steals.load(Ordering::Relaxed)
     }
 
-    /// Unsafe read without a SAFETY proof.
+    /// Unsafe read: `XT0001` fires on every `unsafe` token.
     pub fn slot(&self, raw: &[usize], i: usize) -> usize {
         unsafe { *raw.get_unchecked(i) }
     }
 
-    /// Unsafe read carrying the proof the audit wants.
+    /// A `SAFETY:` comment does not exempt it from `XT0001`.
     pub fn first_slot(&self, raw: &[usize]) -> usize {
         // SAFETY: callers check `raw` is non-empty before dispatch.
         unsafe { *raw.get_unchecked(0) }
