@@ -6,10 +6,16 @@
 //! itself: the simulation replays a [`TraceSource`]. Pass one takes the
 //! access count `n` from [`TraceSource::len_hint`] (or one counting
 //! replay), allocates exactly `n` next-use entries (`u32`, or `u64` past
-//! 4 Gi accesses — at most 8 bytes per access, the bound
-//! `tests/trace_peak.rs` pins), records each access's dense line
-//! ordinal in them, and rewrites the array backward in place into
-//! next-use indices; the ordinal count is the compulsory-miss count.
+//! 4 Gi accesses — at most 8 bytes per access), records each access's
+//! dense line ordinal in them, and rewrites the array backward in place
+//! into next-use indices; the ordinal count is the compulsory-miss
+//! count. The line → ordinal table stores ordinals at the same width
+//! (they are below the distinct-line count, at most `n`). When the
+//! source states its extent ([`TraceSource::extent_hint`]) in at most
+//! `n` lines, the table is allocated once at that many lines and never
+//! grows; otherwise it grows within the line tables' memory bound. With
+//! a stated extent, pass one holds at most the entry width times `n`
+//! plus the extent's lines — the bound `tests/trace_peak.rs` pins.
 //! Pass two tags each resident with its next use, the index of its
 //! line's next access, so access `i` hits exactly the way tagged `i` (an
 //! empty way holds `u64::MAX`, a dead line `u64::MAX - 1`); a miss in a
@@ -17,7 +23,7 @@
 //! Classification matches [`LruCache`](crate::LruCache) so the
 //! statistics are directly comparable.
 
-use crate::lines::{count_miss, Geometry, LineMap, Ways};
+use crate::lines::{count_miss, Geometry, LineMap, LineValue, Ways};
 use crate::source::TraceSource;
 use crate::trace::Access;
 use crate::{CacheConfig, CacheStats};
@@ -29,9 +35,9 @@ const NEVER_TAG: u64 = u64::MAX - 1;
 /// One next-use array entry, a trace index: `u32` while the trace is
 /// shorter than `u32::MAX` accesses, `u64` beyond. [`NextUse::NEVER`],
 /// the type's maximum, lies above every index and means "never used
-/// again".
-trait NextUse: Copy + Default + Into<u64> {
-    const NEVER: Self;
+/// again". Line ordinals are stored at the same width.
+trait NextUse: LineValue + Into<u64> {
+    const NEVER: Self = Self::ABSENT;
 
     /// Index `i`, which callers keep below [`NextUse::NEVER`].
     fn from_index(i: usize) -> Self;
@@ -48,16 +54,12 @@ trait NextUse: Copy + Default + Into<u64> {
 }
 
 impl NextUse for u32 {
-    const NEVER: Self = u32::MAX;
-
     fn from_index(i: usize) -> Self {
         i as u32
     }
 }
 
 impl NextUse for u64 {
-    const NEVER: Self = u64::MAX;
-
     fn from_index(i: usize) -> Self {
         i as u64
     }
@@ -72,6 +74,11 @@ impl NextUse for u64 {
 /// place: each entry swaps its line's ordinal for the line's nearest
 /// later position, kept in a table of one entry per distinct line.
 ///
+/// While telemetry is enabled, the bytes this pass holds at once — the
+/// array plus the larger of the ordinal map and the sweep's table, at
+/// their allocated lengths — are published as the
+/// `cachesim.trace.peak_bytes` gauge.
+///
 /// # Panics
 ///
 /// Panics if the replay emits other than `n` accesses.
@@ -81,18 +88,23 @@ fn build_next_uses<I: NextUse, S: TraceSource + ?Sized>(
     n: u64,
 ) -> (Vec<I>, u64) {
     let mut next = vec![I::default(); usize::try_from(n).unwrap_or(usize::MAX)];
-    let mut ordinals = LineMap::default();
+    let mut ordinals = match source.extent_hint().map(|end| geometry.lines_below(end)) {
+        // At most one entry per access: the map never outgrows `next`.
+        Some(extent) if extent <= n => LineMap::<I>::with_lines(extent as usize),
+        _ => LineMap::default(),
+    };
     let mut lines = 0u64;
     let mut i = 0usize;
     source.replay(&mut |acc| {
         let line = geometry.line(acc.addr());
         let ordinal = ordinals.get(line).unwrap_or_else(|| {
-            ordinals.replace(line, lines);
+            let ordinal = I::from_index(lines as usize);
+            ordinals.replace(line, ordinal);
             lines += 1;
-            lines - 1
+            ordinal
         });
         if let Some(slot) = next.get_mut(i) {
-            *slot = I::from_index(ordinal as usize);
+            *slot = ordinal;
         }
         i += 1;
     });
@@ -100,6 +112,9 @@ fn build_next_uses<I: NextUse, S: TraceSource + ?Sized>(
         i as u64, n,
         "belady pass one: the replay emitted {i} accesses, the source promised {n}"
     );
+    let width = std::mem::size_of::<I>() as u64;
+    let table = ordinals.heap_bytes().max(lines * width);
+    crate::telemetry::record_trace_peak_bytes(n * width + table);
     drop(ordinals);
     let mut last = vec![I::NEVER; lines as usize];
     for (i, slot) in next.iter_mut().enumerate().rev() {
@@ -119,8 +134,9 @@ pub fn next_use_indices(trace: &[Access], config: &CacheConfig) -> Vec<u64> {
 /// Simulates `source` under Belady's optimal replacement (two streaming
 /// replays; see the module docs).
 ///
-/// While telemetry is enabled, the next-use array's footprint is
-/// published as the `cachesim.trace.peak_bytes` gauge.
+/// While telemetry is enabled, pass one's footprint — the next-use
+/// array and the line tables beside it — is published as the
+/// `cachesim.trace.peak_bytes` gauge.
 ///
 /// # Panics
 ///
@@ -151,7 +167,6 @@ fn replay_optimal<I: NextUse, S: TraceSource + ?Sized>(
 ) -> CacheStats {
     let geometry = Geometry::new(&config);
     let (next, lines) = build_next_uses::<I, S>(source, &geometry, n);
-    crate::telemetry::record_trace_peak_bytes(n * std::mem::size_of::<I>() as u64);
     let mut ways = Ways::new(&geometry);
     let mut stats = CacheStats {
         line_bytes: config.line_bytes,

@@ -18,7 +18,7 @@
 
 use commorder_sparse::{EllMatrix, SellMatrix, ELEM_BYTES, ELL_PAD};
 
-use crate::layout::{audited, place};
+use crate::layout::{audited, place, spans};
 use crate::source::TraceSource;
 use crate::trace::Access;
 
@@ -37,13 +37,24 @@ impl<'a> EllTrace<'a> {
     }
 }
 
+/// Region lengths of the ELL address map: `cols`, `values`, `X`, `Y`.
+fn ell_regions(a: &EllMatrix) -> [u64; 4] {
+    let padded = a.padded_len() as u64;
+    [padded, padded, u64::from(a.n_cols()), u64::from(a.n_rows())]
+}
+
 impl TraceSource for EllTrace<'_> {
+    /// The end of the address map: `Y`, the last array, is written.
+    fn extent_hint(&self) -> Option<u64> {
+        Some(place(ell_regions(self.a)).1)
+    }
+
     fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
         let n = u64::from(a.n_rows());
-        let padded = a.padded_len() as u64;
-        let ([cols, values, x, y], end) = place([padded, padded, u64::from(a.n_cols()), n]);
-        let mut sink = audited(end, raw_sink);
+        let (bases, end) = place(ell_regions(a));
+        let mut sink = audited(spans(&bases, end, [true; 4]), raw_sink);
+        let [cols, values, x, y] = bases;
         for slot in 0..a.width() {
             for r in 0..a.n_rows() {
                 let idx = u64::from(slot) * n + u64::from(r);
@@ -76,16 +87,32 @@ impl<'a> SellTrace<'a> {
     }
 }
 
+/// Region lengths of the SELL address map: slice metadata (offset and
+/// width, streamed once: 2 words per slice), `cols`, `values`, `X`, `Y`.
+fn sell_regions(a: &SellMatrix) -> [u64; 5] {
+    let padded = a.padded_len() as u64;
+    let meta = 2 * a.n_slices() as u64;
+    [
+        meta,
+        padded,
+        padded,
+        u64::from(a.n_cols()),
+        u64::from(a.n_rows()),
+    ]
+}
+
 impl TraceSource for SellTrace<'_> {
+    /// The end of the address map: `Y`, the last array, is written.
+    fn extent_hint(&self) -> Option<u64> {
+        Some(place(sell_regions(self.a)).1)
+    }
+
     fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
         let n = u64::from(a.n_rows());
-        let padded = a.padded_len() as u64;
-        // Slice offset/width metadata is streamed once (2 words per slice).
-        let meta_len = 2 * a.n_slices() as u64;
-        let ([meta, cols, values, x, y], end) =
-            place([meta_len, padded, padded, u64::from(a.n_cols()), n]);
-        let mut sink = audited(end, raw_sink);
+        let (bases, end) = place(sell_regions(a));
+        let mut sink = audited(spans(&bases, end, [true; 5]), raw_sink);
+        let [meta, cols, values, x, y] = bases;
         let c = u64::from(a.c());
         let mut base = 0u64;
         for s in 0..a.n_slices() {

@@ -18,10 +18,12 @@
 //! O(nnz) transposition; BFS recomputes its frontier per replay, which is
 //! deterministic by construction.
 
+use std::ops::Range;
+
 use commorder_sparse::graph::{check_graph, check_source};
 use commorder_sparse::{CsrMatrix, SparseError, ELEM_BYTES};
 
-use crate::layout::{audited, place};
+use crate::layout::{audited, extent, place, spans};
 use crate::source::TraceSource;
 use crate::trace::{read_bounds, Access};
 
@@ -32,6 +34,21 @@ use crate::trace::{read_bounds, Access};
 fn graph_regions(a: &CsrMatrix) -> [u64; 7] {
     let n = u64::from(a.n_rows());
     [n + 1, a.nnz() as u64, n, n, n, n, n]
+}
+
+/// The arrays of [`graph_regions`] PageRank touches: offsets, coords,
+/// both rank buffers and the out-degrees.
+const PAGERANK_TOUCHES: [bool; 7] = [true, true, true, true, true, false, false];
+
+/// The arrays of [`graph_regions`] BFS touches: offsets, coords, levels
+/// and the frontier.
+const BFS_TOUCHES: [bool; 7] = [true, true, false, false, false, true, true];
+
+/// The spans of `a`'s graph address map that cover the arrays `touched`
+/// marks.
+fn graph_spans(a: &CsrMatrix, touched: [bool; 7]) -> Vec<Range<u64>> {
+    let (bases, end) = place(graph_regions(a));
+    spans(&bases, end, touched)
 }
 
 /// Replayable trace of pull-PageRank rounds over the transpose of the
@@ -68,10 +85,14 @@ impl TraceSource for PagerankTrace<'_> {
         Some(u64::from(self.iterations) * per_iter)
     }
 
+    fn extent_hint(&self) -> Option<u64> {
+        Some(extent(&graph_spans(self.a, PAGERANK_TOUCHES)))
+    }
+
     fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
-        let ([offsets, coords, rank_a, rank_b, outdeg, _, _], end) = place(graph_regions(a));
-        let mut sink = audited(end, raw_sink);
+        let ([offsets, coords, rank_a, rank_b, outdeg, _, _], _) = place(graph_regions(a));
+        let mut sink = audited(graph_spans(a, PAGERANK_TOUCHES), raw_sink);
         for iter in 0..self.iterations {
             // Ping-pong: even iterations read rank_a / write rank_b.
             let (src, dst) = if iter % 2 == 0 {
@@ -117,10 +138,14 @@ impl<'a> BfsTrace<'a> {
 }
 
 impl TraceSource for BfsTrace<'_> {
+    fn extent_hint(&self) -> Option<u64> {
+        Some(extent(&graph_spans(self.a, BFS_TOUCHES)))
+    }
+
     fn replay(&self, raw_sink: &mut dyn FnMut(Access)) {
         let a = self.a;
-        let ([offsets, coords, _, _, _, level, frontier_base], end) = place(graph_regions(a));
-        let mut sink = audited(end, raw_sink);
+        let ([offsets, coords, _, _, _, level, frontier_base], _) = place(graph_regions(a));
+        let mut sink = audited(graph_spans(a, BFS_TOUCHES), raw_sink);
         let mut visited = vec![false; a.n_rows() as usize];
         visited[self.source as usize] = true;
         let mut frontier = vec![self.source];

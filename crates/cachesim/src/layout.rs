@@ -5,9 +5,15 @@
 //! `place`: every array gets its own `LAYOUT_LINE_BYTES`-aligned
 //! region, so distinct arrays never share a cache line — as a real
 //! allocator places multi-megabyte buffers. Every access a trace emits
-//! passes the one strict-checks audit, `audited`, against the end of
-//! that space. The `Kernel` traces take their array lengths from
+//! passes the one strict-checks audit, `audited`, against the spans of
+//! that space the trace touches; the last span's end is the extent the
+//! trace states ([`TraceSource::extent_hint`]). The `Kernel` traces take
+//! their array lengths, and which arrays they touch, from
 //! [`Kernel::regions`], the table the compulsory bound sums too.
+//!
+//! [`TraceSource::extent_hint`]: crate::source::TraceSource::extent_hint
+
+use std::ops::Range;
 
 use commorder_sparse::kernels::SpGemmProfile;
 use commorder_sparse::traffic::{Kernel, Region, Shape, REGIONS};
@@ -34,15 +40,58 @@ pub(crate) fn place<const N: usize>(elems: [u64; N]) -> ([u64; N], u64) {
     (bases, end)
 }
 
+/// The spans of a [`place`]d space covered by the arrays `touched`
+/// marks, ascending; adjacent arrays share one span. Each array's span
+/// runs to the next base (or `end`), so it ends line-aligned, and the
+/// last span's end is the space's touched extent.
+pub(crate) fn spans<const N: usize>(
+    bases: &[u64; N],
+    end: u64,
+    touched: [bool; N],
+) -> Vec<Range<u64>> {
+    let mut spans: Vec<Range<u64>> = Vec::new();
+    for (i, &base) in bases.iter().enumerate() {
+        let span = base..bases.get(i + 1).copied().unwrap_or(end);
+        if !touched[i] || span.is_empty() {
+            continue;
+        }
+        match spans.last_mut() {
+            Some(last) if last.end == span.start => last.end = span.end,
+            _ => spans.push(span),
+        }
+    }
+    spans
+}
+
+/// The spans of the address map of `kernel` on an `a`-shaped problem
+/// that the kernel streams at least once ([`Kernel::regions`]).
+pub(crate) fn kernel_spans(a: &CsrMatrix, kernel: Kernel) -> Vec<Range<u64>> {
+    let regions = kernel.regions(Shape::of(a), None);
+    let (bases, end) = place(regions.map(|r| r.elems));
+    spans(&bases, end, regions.map(|r| r.streams > 0))
+}
+
+/// Exclusive end of the last of `spans`: one past every address in them.
+pub(crate) fn extent(spans: &[Range<u64>]) -> u64 {
+    spans.last().map_or(0, |span| span.end)
+}
+
 /// Wraps `sink` so that, under `strict-checks`, every access is audited
-/// against the address space [`place`] returned: element-aligned and
-/// below `end`.
-pub(crate) fn audited<F: FnMut(Access)>(end: u64, mut sink: F) -> impl FnMut(Access) {
+/// against the spans of the address space [`place`] returned that the
+/// trace touches: element-aligned and inside one span.
+pub(crate) fn audited<S: AsRef<[Range<u64>]>, F: FnMut(Access)>(
+    spans: S,
+    mut sink: F,
+) -> impl FnMut(Access) {
     move |acc: Access| {
+        let addr = acc.addr();
+        let spans = spans.as_ref();
         commorder_sparse::debug_validate!(
-            acc.addr().is_multiple_of(ELEM_BYTES) && acc.addr() + ELEM_BYTES <= end,
-            "trace access {:#x} misaligned or beyond operand end {end:#x}",
-            acc.addr()
+            addr.is_multiple_of(ELEM_BYTES)
+                && spans
+                    .iter()
+                    .any(|s| s.start <= addr && addr + ELEM_BYTES <= s.end),
+            "trace access {addr:#x} misaligned or outside the touched operand spans {spans:x?}"
         );
         sink(acc);
     }
@@ -206,11 +255,41 @@ mod tests {
 
     #[test]
     #[cfg(feature = "strict-checks")]
-    #[should_panic(expected = "beyond operand end")]
+    #[should_panic(expected = "outside the touched operand spans")]
     fn audit_rejects_an_access_past_the_end() {
-        let mut sink = audited(64, |_| {});
+        let mut sink = audited(spans(&[0], 64, [true]), |_| {});
         sink(Access::read(60));
         sink(Access::read(64));
+    }
+
+    #[test]
+    #[cfg(feature = "strict-checks")]
+    #[should_panic(expected = "outside the touched operand spans")]
+    fn audit_rejects_an_access_in_an_untouched_array() {
+        // SpMV-CSR never reads the COO rows, which lie below `X` and `Y`.
+        let a = sample();
+        let l = ArrayLayout::new(&a, Kernel::SpmvCsr);
+        let mut sink = audited(kernel_spans(&a, Kernel::SpmvCsr), |_| {});
+        sink(Access::read(l.values));
+        sink(Access::write(l.y));
+        sink(Access::read(l.coo_rows));
+    }
+
+    #[test]
+    fn spans_merge_touched_neighbours_and_end_at_the_last_touched_array() {
+        let a = sample();
+        let l = ArrayLayout::new(&a, Kernel::SpmvCsr);
+        // Offsets, coords and values; then `X` and `Y`. COO rows, `B`,
+        // `C` and bins stay out, so the extent ends below the layout's.
+        let csr = kernel_spans(&a, Kernel::SpmvCsr);
+        assert_eq!(csr, vec![0..l.coo_rows, l.x..l.b]);
+        assert!(extent(&csr) < l.end);
+        let blocked = kernel_spans(&a, Kernel::SpmvBlocked { bins: 2 });
+        assert_eq!(extent(&blocked), l.end, "bins are the last region");
+        let bases = [0, 32, 64, 64, 96];
+        let touched = spans(&bases, 128, [true, false, true, true, true]);
+        assert_eq!(touched, vec![0..32, 64..128], "the empty array is skipped");
+        assert_eq!(extent(&[]), 0);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! * [`LineSet`] / [`LineMap`] — dense over line indices. [`LineSet`]
 //!   records first touches (compulsory misses) for [`LruCache`],
 //!   [`PlruCache`] and [`classify`]; Belady takes its count from its
-//!   first pass instead. [`LineMap`] holds line-keyed values: Belady's
-//!   line ordinals and the fully-associative twin's slot in [`classify`].
+//!   first pass instead. [`LineMap`] holds line-keyed `u32` or `u64`
+//!   values ([`LineValue`]): Belady's line ordinals, at its next-use
+//!   entry width, and the fully-associative twin's `u64` slot in
+//!   [`classify`].
 //!
 //! **Memory bound.** An [`Access`](crate::Access) may carry any address
 //! below 2^63, so no table may be sized by the largest line. The dense
@@ -31,7 +33,11 @@
 //! open-addressing spill table (Fibonacci hashing, at most 7/8 full, so
 //! its capacity stays within about 2.3 slots per line it ever held), and
 //! spilled lines migrate into the dense part when it grows over them, so
-//! every line lives in exactly one place.
+//! every line lives in exactly one place. A [`LineMap`] may instead be
+//! sized once ([`LineMap::with_lines`]) from a source's stated extent
+//! ([`TraceSource::extent_hint`](crate::source::TraceSource::extent_hint)),
+//! which its caller caps at one line per access: Belady's ordinal table
+//! then never grows and never outgrows its next-use array.
 //!
 //! [`LruCache`]: crate::LruCache
 //! [`PlruCache`]: crate::plru::PlruCache
@@ -40,9 +46,9 @@
 
 use crate::{CacheConfig, CacheStats};
 
-/// Tag of an invalid way, and the "absent" value of the line tables.
-/// Lines are `addr / line_bytes` with `addr < 2^63`, so no real line
-/// (and no value the policies store) reaches it.
+/// Tag of an invalid way, and the empty key of the spill table. Lines
+/// are `addr / line_bytes` with `addr < 2^63`, so no real line (and no
+/// tag the policies store) reaches it.
 pub(crate) const INVALID: u64 = u64::MAX;
 
 /// Dense-table size every table may use regardless of lines recorded.
@@ -94,6 +100,15 @@ impl Geometry {
         match self.line_shift {
             Some(shift) => addr >> shift,
             None => addr / self.line_bytes,
+        }
+    }
+
+    /// Number of lines that cover addresses `0..end`.
+    pub(crate) fn lines_below(&self, end: u64) -> u64 {
+        if end == 0 {
+            0
+        } else {
+            self.line(end - 1) + 1
         }
     }
 
@@ -262,17 +277,17 @@ pub(crate) fn count_miss(stats: &mut CacheStats, first_touch: bool, write: bool)
     stats.fills += 1;
 }
 
-/// Length the dense part of a table (8-byte entries) should grow to so
-/// that it covers entry `need`, or `None` when that would exceed the
-/// memory bound for `recorded` distinct lines. Growth is to
+/// Length the dense part of a table (`entry_bytes`-wide entries) should
+/// grow to so that it covers entry `need`, or `None` when that would
+/// exceed the memory bound for `recorded` distinct lines. Growth is to
 /// a power of two at least double the current length, so a table grows
 /// (and migrates its spill) at most `log2` times.
-fn dense_growth(current: usize, need: u64, recorded: u64) -> Option<usize> {
+fn dense_growth(current: usize, need: u64, recorded: u64, entry_bytes: usize) -> Option<usize> {
     let budget = usize::try_from(recorded)
         .unwrap_or(usize::MAX)
         .saturating_mul(DENSE_BYTES_PER_LINE)
         .saturating_add(DENSE_BASE_BYTES)
-        / 8;
+        / entry_bytes;
     let need = usize::try_from(need).ok()?.checked_add(1)?;
     let target = need
         .max(current.saturating_mul(2))
@@ -285,7 +300,7 @@ fn dense_growth(current: usize, need: u64, recorded: u64) -> Option<usize> {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineSet {
     bits: Vec<u64>,
-    spill: Spill,
+    spill: Spill<u64>,
     len: u64,
 }
 
@@ -314,7 +329,7 @@ impl LineSet {
             return false;
         }
         self.len += 1;
-        match dense_growth(self.bits.len(), line >> 6, self.len) {
+        match dense_growth(self.bits.len(), line >> 6, self.len, 8) {
             Some(words) => {
                 self.bits.resize(words, 0);
                 let bits = &mut self.bits;
@@ -331,33 +346,67 @@ impl LineSet {
     }
 }
 
-/// A line-keyed `u64` map (values below [`INVALID`]): a dense array over
-/// lines `0..dense.len()` plus the spill for lines beyond it.
+/// A value a [`LineMap`] stores: `u32` or `u64`. The type's maximum,
+/// [`LineValue::ABSENT`], marks an absent line and is never stored.
+pub(crate) trait LineValue: Copy + Eq + Default + std::fmt::Debug {
+    /// The absent marker.
+    const ABSENT: Self;
+}
+
+impl LineValue for u32 {
+    const ABSENT: Self = u32::MAX;
+}
+
+impl LineValue for u64 {
+    const ABSENT: Self = u64::MAX;
+}
+
+/// A line-keyed map of `V` values (below [`LineValue::ABSENT`]): a dense
+/// array over lines `0..dense.len()` plus the spill for lines beyond it.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LineMap {
-    dense: Vec<u64>,
-    spill: Spill,
+pub(crate) struct LineMap<V = u64> {
+    dense: Vec<V>,
+    spill: Spill<V>,
     len: u64,
 }
 
-impl LineMap {
+impl<V: LineValue> LineMap<V> {
+    /// An empty map whose dense part covers lines `0..lines` from the
+    /// start, allocated once: it grows only for a line at or beyond
+    /// `lines`. The caller bounds `lines` (see the module docs).
+    pub(crate) fn with_lines(lines: usize) -> Self {
+        LineMap {
+            dense: vec![V::ABSENT; lines],
+            spill: Spill::default(),
+            len: 0,
+        }
+    }
+
+    /// Bytes the map holds: its dense part and its spill, at their
+    /// allocated lengths.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        let width = std::mem::size_of::<V>();
+        let spill = self.spill.keys.capacity() * 8 + self.spill.vals.capacity() * width;
+        (self.dense.capacity() * width + spill) as u64
+    }
+
     /// The value stored for `line`.
     #[inline]
-    pub(crate) fn get(&self, line: u64) -> Option<u64> {
+    pub(crate) fn get(&self, line: u64) -> Option<V> {
         match usize::try_from(line).ok().and_then(|i| self.dense.get(i)) {
-            Some(&v) => (v != INVALID).then_some(v),
+            Some(&v) => (v != V::ABSENT).then_some(v),
             None => self.spill.get(line),
         }
     }
 
     /// Stores `value` for `line`, returning the previous value.
     #[inline]
-    pub(crate) fn replace(&mut self, line: u64, value: u64) -> Option<u64> {
-        debug_assert_ne!(value, INVALID, "INVALID marks an absent line");
+    pub(crate) fn replace(&mut self, line: u64, value: V) -> Option<V> {
+        debug_assert_ne!(value, V::ABSENT, "ABSENT marks an absent line");
         let index = usize::try_from(line).ok();
         if let Some(slot) = index.and_then(|i| self.dense.get_mut(i)) {
             let old = std::mem::replace(slot, value);
-            if old == INVALID {
+            if old == V::ABSENT {
                 self.len += 1;
                 return None;
             }
@@ -368,14 +417,14 @@ impl LineMap {
 
     /// [`LineMap::replace`] for a line past the dense array.
     #[cold]
-    fn replace_beyond(&mut self, line: u64, value: u64) -> Option<u64> {
+    fn replace_beyond(&mut self, line: u64, value: V) -> Option<V> {
         if let Some(old) = self.spill.insert_existing(line, value) {
             return Some(old);
         }
         self.len += 1;
-        match dense_growth(self.dense.len(), line, self.len) {
+        match dense_growth(self.dense.len(), line, self.len, std::mem::size_of::<V>()) {
             Some(len) => {
-                self.dense.resize(len, INVALID);
+                self.dense.resize(len, V::ABSENT);
                 let dense = &mut self.dense;
                 self.spill
                     .drain_below(len as u64, |spilled, v| dense[spilled as usize] = v);
@@ -389,21 +438,21 @@ impl LineMap {
     }
 }
 
-/// Open-addressing `u64 → u64` table with linear probing and Fibonacci
+/// Open-addressing `u64 → V` table with linear probing and Fibonacci
 /// hashing; keys are lines, [`INVALID`] marks an empty slot. The
 /// capacity is zero or a power of two of at least 16, and the table is
 /// kept at most 7/8 full.
 #[derive(Debug, Clone, Default)]
-struct Spill {
+struct Spill<V> {
     keys: Vec<u64>,
-    vals: Vec<u64>,
+    vals: Vec<V>,
     len: usize,
 }
 
 /// 2^64 / φ: consecutive lines land far apart.
 const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
-impl Spill {
+impl<V: LineValue> Spill<V> {
     fn home(&self, key: u64) -> usize {
         let shift = 64 - self.keys.len().trailing_zeros();
         (key.wrapping_mul(FIBONACCI) >> shift) as usize
@@ -420,7 +469,7 @@ impl Spill {
         i
     }
 
-    fn get(&self, key: u64) -> Option<u64> {
+    fn get(&self, key: u64) -> Option<V> {
         if self.len == 0 {
             return None;
         }
@@ -430,7 +479,7 @@ impl Spill {
 
     /// Overwrites the value of a present `key`, returning the old one;
     /// `None` (and no change) when `key` is absent.
-    fn insert_existing(&mut self, key: u64, value: u64) -> Option<u64> {
+    fn insert_existing(&mut self, key: u64, value: V) -> Option<V> {
         if self.len == 0 {
             return None;
         }
@@ -439,7 +488,7 @@ impl Spill {
     }
 
     /// Inserts or overwrites `key`.
-    fn insert(&mut self, key: u64, value: u64) {
+    fn insert(&mut self, key: u64, value: V) {
         if (self.len + 1) * 8 > self.keys.len() * 7 {
             self.rebuild((self.keys.len() * 2).max(16), 0, |_, _| {});
         }
@@ -452,7 +501,7 @@ impl Spill {
     }
 
     /// Moves every entry with a key below `limit` out to `take`.
-    fn drain_below(&mut self, limit: u64, take: impl FnMut(u64, u64)) {
+    fn drain_below(&mut self, limit: u64, take: impl FnMut(u64, V)) {
         if self.len > 0 {
             self.rebuild(self.keys.len(), limit, take);
         }
@@ -460,11 +509,11 @@ impl Spill {
 
     /// Re-inserts every entry into a table of `capacity` slots, handing
     /// keys below `limit` to `take` instead.
-    fn rebuild(&mut self, capacity: usize, limit: u64, mut take: impl FnMut(u64, u64)) {
+    fn rebuild(&mut self, capacity: usize, limit: u64, mut take: impl FnMut(u64, V)) {
         let keys = std::mem::take(&mut self.keys);
         let vals = std::mem::take(&mut self.vals);
         self.keys.resize(capacity, INVALID);
-        self.vals.resize(capacity, 0);
+        self.vals.resize(capacity, V::ABSENT);
         self.len = 0;
         for (&key, &value) in keys.iter().zip(&vals) {
             if key == INVALID {
@@ -505,6 +554,7 @@ mod tests {
                 assert_eq!(g.line(addr), line);
                 assert_eq!(g.set(line) as u64, line % sets);
                 assert_eq!(g.addr(line), line * line_bytes);
+                assert_eq!(g.lines_below(addr), addr.div_ceil(line_bytes));
             }
             assert_eq!(g.lines(), config.num_lines());
         }
@@ -564,25 +614,61 @@ mod tests {
         assert!(!s.insert(far + 1));
     }
 
-    #[test]
-    fn line_map_replaces_and_migrates() {
-        let mut m = LineMap::default();
-        assert_eq!(m.replace(3, 10), None);
-        assert_eq!(m.replace(3, 11), Some(10));
+    /// Replacement, spill and migration of a `V`-valued map.
+    fn line_map_replaces_and_migrates_at<V: LineValue + From<u16> + Into<u64>>() {
+        let v = V::from;
+        let mut m = LineMap::<V>::default();
+        assert_eq!(m.replace(3, v(10)), None);
+        assert_eq!(m.replace(3, v(11)), Some(v(10)));
         let far = 1u64 << 40;
-        assert_eq!(m.replace(far, 7), None);
-        assert_eq!(m.get(far), Some(7));
-        assert_eq!(m.replace(far, 8), Some(7));
+        assert_eq!(m.replace(far, v(7)), None);
+        assert_eq!(m.get(far), Some(v(7)));
+        assert_eq!(m.replace(far, v(8)), Some(v(7)));
         assert_eq!(m.get(far + 1), None);
         let mid = 1u64 << 17;
-        assert_eq!(m.replace(mid, 1), None);
-        for line in 0..20_000 {
-            m.replace(line * 16, line);
+        assert_eq!(m.replace(mid, v(1)), None);
+        for line in 0..20_000u16 {
+            m.replace(u64::from(line) * 16, v(line));
         }
-        assert_eq!(m.get(mid), Some(mid / 16), "overwritten in place");
-        assert_eq!(m.get(far), Some(8));
-        assert!(m.dense.len() * 8 <= DENSE_BASE_BYTES + m.len as usize * DENSE_BYTES_PER_LINE);
-        assert_eq!(m.get(3), Some(11));
+        assert_eq!(
+            m.get(mid).map(Into::into),
+            Some(mid / 16),
+            "overwritten in place"
+        );
+        assert_eq!(m.get(far), Some(v(8)));
+        assert_eq!(m.spill.get(far), Some(v(8)), "the far line still spills");
+        let width = std::mem::size_of::<V>();
+        assert!(m.dense.len() * width <= DENSE_BASE_BYTES + m.len as usize * DENSE_BYTES_PER_LINE);
+        assert_eq!(m.get(3), Some(v(11)));
+        // The empty marker is never returned as a value.
+        for line in (0..400_000).chain([far - 1, far + 1, 1 << 62]) {
+            assert_ne!(m.get(line), Some(V::ABSENT), "line {line}");
+        }
+    }
+
+    #[test]
+    fn line_map_replaces_and_migrates() {
+        line_map_replaces_and_migrates_at::<u64>();
+        line_map_replaces_and_migrates_at::<u32>();
+    }
+
+    #[test]
+    fn a_map_sized_once_covers_its_lines_without_growing() {
+        let mut m = LineMap::<u32>::with_lines(1000);
+        assert_eq!(m.heap_bytes(), 4000);
+        for line in (0..1000).rev() {
+            assert_eq!(m.replace(line, line as u32), None);
+        }
+        assert_eq!(
+            (m.dense.len(), m.spill.len),
+            (1000, 0),
+            "no growth, no spill"
+        );
+        assert_eq!(m.get(999), Some(999));
+        // A line past the stated extent still finds a place.
+        assert_eq!(m.replace(1 << 40, 5), None);
+        assert_eq!(m.get(1 << 40), Some(5));
+        assert_eq!(m.get(1000), None);
     }
 
     #[test]

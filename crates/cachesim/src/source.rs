@@ -27,6 +27,7 @@
 
 use commorder_sparse::{traffic::Kernel, CsrMatrix, Permutation, SparseError};
 
+use crate::layout::{extent, kernel_spans};
 use crate::trace::{
     for_each_access, for_each_relabelled_access, walks_rows, Access, ExecutionModel, Relabelled,
 };
@@ -45,6 +46,17 @@ pub trait TraceSource {
     ///
     /// [`replay`]: TraceSource::replay
     fn len_hint(&self) -> Option<u64> {
+        None
+    }
+
+    /// One past the highest byte address a [`replay`] touches, when the
+    /// source can state it without generating the trace; `None`
+    /// otherwise. An upper bound: every access's address lies below it.
+    /// Belady sizes its line table from it once instead of growing it
+    /// (see [`crate::belady`]).
+    ///
+    /// [`replay`]: TraceSource::replay
+    fn extent_hint(&self) -> Option<u64> {
         None
     }
 
@@ -90,6 +102,10 @@ impl TraceSource for Vec<Access> {
 impl<T: TraceSource + ?Sized> TraceSource for &T {
     fn len_hint(&self) -> Option<u64> {
         (**self).len_hint()
+    }
+
+    fn extent_hint(&self) -> Option<u64> {
+        (**self).extent_hint()
     }
 
     fn replay(&self, sink: &mut dyn FnMut(Access)) {
@@ -166,17 +182,33 @@ impl<'a> KernelTrace<'a> {
     }
 }
 
+impl KernelTrace<'_> {
+    /// The stored matrix, or `a` of a relabelled one (`P·A·Pᵀ` has
+    /// `a`'s shape).
+    fn matrix(&self) -> &CsrMatrix {
+        match &self.rows {
+            Rows::Stored(a) => a,
+            Rows::Relabelled(rows) => rows.matrix(),
+        }
+    }
+}
+
 impl TraceSource for KernelTrace<'_> {
     /// Exact for SpMV-CSR, SpMV-COO and SpMM-CSR; `None` for the tiled,
     /// blocked and SpGEMM kernels, whose counts depend on more than the
     /// matrix shape (see `trace::shape_access_count`). A relabelled
     /// matrix has `a`'s shape, so both forms hint alike.
     fn len_hint(&self) -> Option<u64> {
-        let a = match &self.rows {
-            Rows::Stored(a) => a,
-            Rows::Relabelled(rows) => rows.matrix(),
-        };
-        crate::trace::shape_access_count(a, self.kernel)
+        crate::trace::shape_access_count(self.matrix(), self.kernel)
+    }
+
+    /// The end of the last array the kernel streams in
+    /// [`Kernel::regions`] (for SpMV-CSR, `Y`): the arrays placed after
+    /// it are reserved, never touched. `None` for the SpGEMM kernels,
+    /// whose map needs the product's size.
+    fn extent_hint(&self) -> Option<u64> {
+        let kernel = self.kernel;
+        (!kernel.is_spgemm()).then(|| extent(&kernel_spans(self.matrix(), kernel)))
     }
 
     fn replay(&self, sink: &mut dyn FnMut(Access)) {

@@ -23,7 +23,7 @@
 use commorder_sparse::kernels::{spgemm_profile, SpGemmProfile};
 use commorder_sparse::{traffic::Kernel, CsrMatrix, SparseError};
 
-use crate::layout::{audited, ArrayLayout};
+use crate::layout::{audited, spans, ArrayLayout};
 use crate::source::TraceSource;
 use crate::trace::{read_bounds, Access};
 
@@ -197,8 +197,15 @@ impl TraceSource for SpGemmTrace<'_> {
         )
     }
 
+    /// The layout's end: `C`'s values, the last region, are written.
+    /// The accumulator, which `Kernel::regions` streams zero times, is
+    /// written too, so the audit takes the whole space below the end.
+    fn extent_hint(&self) -> Option<u64> {
+        Some(self.layout.end)
+    }
+
     fn replay(&self, sink: &mut dyn FnMut(Access)) {
-        let mut audited = audited(self.layout.end, sink);
+        let mut audited = audited(spans(&[0], self.layout.end, [true]), sink);
         let mut stamp = vec![0u32; self.b.n_cols() as usize];
         let mut row_cols: Vec<u32> = Vec::new();
         let mut out_cursor = 0u64;

@@ -44,9 +44,10 @@ pub fn record_miss_classes(classes: &MissClasses) {
 /// Publishes the peak per-trace buffer footprint of one simulation as
 /// the `cachesim.trace.peak_bytes` gauge.
 ///
-/// The two-pass Belady oracle reports its compact next-use array (≤ 8
-/// bytes per access; `tests/trace_peak.rs` pins the bound). Streaming
-/// LRU/PLRU consumers hold no per-access state and record nothing.
+/// The two-pass Belady oracle reports what its first pass holds: the
+/// compact next-use array (≤ 8 bytes per access) and its line table
+/// (`tests/trace_peak.rs` pins the bound). Streaming LRU/PLRU consumers
+/// hold no per-access state and record nothing.
 pub fn record_trace_peak_bytes(bytes: u64) {
     if !obs::enabled() {
         return;

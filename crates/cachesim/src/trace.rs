@@ -22,7 +22,7 @@ use std::fmt;
 
 use commorder_sparse::{traffic::Kernel, CsrMatrix, Permutation, ELEM_BYTES};
 
-use crate::layout::{audited, ArrayLayout, LAYOUT_LINE_BYTES};
+use crate::layout::{audited, kernel_spans, ArrayLayout, LAYOUT_LINE_BYTES};
 
 /// Tag bit marking a store; the remaining 63 bits hold the byte address.
 const WRITE_BIT: u64 = 1 << 63;
@@ -132,7 +132,7 @@ pub fn for_each_access<F: FnMut(Access)>(
         return;
     }
     let layout = ArrayLayout::new(a, kernel);
-    let mut sink = audited(layout.end, raw_sink);
+    let mut sink = audited(kernel_spans(a, kernel), raw_sink);
     match kernel {
         // Tiles are a serialization barrier (partial sums must land
         // before the next tile); interleaving happens within a tile,
@@ -274,7 +274,8 @@ pub(crate) fn for_each_relabelled_access(
 ) {
     // `P·A·Pᵀ` has `a`'s shape and entry count, so it has `a`'s layout.
     let layout = ArrayLayout::new(rows.matrix(), kernel);
-    walk_rows(rows, kernel, model, &layout, &mut audited(layout.end, sink));
+    let spans = kernel_spans(rows.matrix(), kernel);
+    walk_rows(rows, kernel, model, &layout, &mut audited(spans, sink));
 }
 
 /// The row walk shared by SpMV-CSR, SpMV-COO and SpMM-CSR under either

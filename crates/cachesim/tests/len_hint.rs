@@ -3,13 +3,20 @@
 //! sequential and two interleaved execution models, a kernel's hint
 //! must equal the length of its replay (CHK1002). SpMV-CSR, SpMV-COO
 //! and SpMM-CSR always answer; the tiled and blocked kernels never do.
+//!
+//! `KernelTrace::extent_hint` answers for every kernel here and bounds
+//! every access of the replay. For SpMV-CSR, SpMV-COO and SpMM-CSR it
+//! is tight: the replay's last touched 32-byte line is the hint's last.
 
 use commorder_cachesim::source::{KernelTrace, TraceSource};
 use commorder_cachesim::trace::ExecutionModel;
 use commorder_check::check_stream_equivalence;
 use commorder_sparse::traffic::Kernel;
-use commorder_sparse::CsrMatrix;
+use commorder_sparse::{CsrMatrix, ELEM_BYTES};
 use commorder_synth::corpus;
+
+/// The line size every trace's address map is aligned to.
+const LINE: u64 = 32;
 
 const MODELS: [ExecutionModel; 3] = [
     ExecutionModel::Sequential,
@@ -32,8 +39,22 @@ fn check_hints(name: &str, a: &CsrMatrix) {
             let source = KernelTrace::new(a, kernel, model);
             let what = format!("{name} {kernel:?} {model:?}");
             assert_eq!(source.len_hint().is_some(), hinted, "{what}");
-            let diagnostics = check_stream_equivalence(&source, &source.collect_trace());
+            let trace = source.collect_trace();
+            let diagnostics = check_stream_equivalence(&source, &trace);
             assert!(diagnostics.is_empty(), "{what}: {diagnostics:?}");
+            let extent = source
+                .extent_hint()
+                .expect("one-operand kernels state their extent");
+            let top = trace.iter().map(|acc| acc.addr() + ELEM_BYTES).max();
+            assert!(
+                top.unwrap_or(0) <= extent,
+                "{what}: {top:?} beyond {extent}"
+            );
+            if hinted {
+                if let Some(top) = top {
+                    assert_eq!((top - 1) / LINE, (extent - 1) / LINE, "{what}: last line");
+                }
+            }
         }
     }
 }

@@ -38,27 +38,33 @@ fn parse_error(line_no: usize, message: String) -> Diagnostic {
     Diagnostic::error(PARSE_CODE, Location::at("line", line_no as u64), message)
 }
 
-/// Audits file `contents` according to the extension of `name`
-/// (`mtx`, `csr`, `perm`, `trace`, `json`, or `jsonl`); an unknown extension
-/// yields a single parse diagnostic.
+/// A file validator: the file's contents in, its findings out.
+pub type Validator = fn(&str) -> Vec<Diagnostic>;
+
+/// Every file kind `check` audits: its extension and its validator.
+pub const ROUTES: [(&str, Validator); 6] = [
+    ("mtx", check_mtx),
+    ("csr", check_csr_dump),
+    ("perm", check_perm_file),
+    ("trace", check_trace_file),
+    ("json", crate::bench::check_bench_artifact),
+    ("jsonl", crate::telemetry::check_telemetry),
+];
+
+/// Audits file `contents` according to the extension of `name` (one of
+/// [`ROUTES`]); an unknown extension yields a single parse diagnostic.
 #[must_use]
 pub fn check_file_contents(name: &str, contents: &str) -> CheckReport {
     let ext = name.rsplit('.').next().unwrap_or("").to_ascii_lowercase();
     let mut report = CheckReport::new();
-    match ext.as_str() {
-        "mtx" => report.extend(check_mtx(contents)),
-        "csr" => report.extend(check_csr_dump(contents)),
-        "perm" => report.extend(check_perm_file(contents)),
-        "trace" => report.extend(check_trace_file(contents)),
-        "json" => report.extend(crate::bench::check_bench_artifact(contents)),
-        "jsonl" => report.extend(crate::telemetry::check_telemetry(contents)),
-        other => report.extend(vec![parse_error(
-            0,
-            format!(
-                "unknown fixture extension {other:?} (expected mtx, csr, perm, trace, json, or jsonl)"
-            ),
-        )]),
-    }
+    report.extend(match ROUTES.iter().find(|&&(known, _)| known == ext) {
+        Some((_, validate)) => validate(contents),
+        None => {
+            let known = ROUTES.map(|(known, _)| known).join(", ");
+            let message = format!("unknown fixture extension {ext:?} (expected one of {known})");
+            vec![parse_error(0, message)]
+        }
+    });
     report
 }
 
@@ -121,26 +127,31 @@ fn check_mtx(contents: &str) -> Vec<Diagnostic> {
         out.push(parse_error(0, "no size line found".to_string()));
         return out;
     };
-    if entries.len() as u64 != nnz {
+    let held = entries.len();
+    if held as u64 != nnz {
+        let message = format!("header declares {nnz} entries, file holds {held}");
         out.push(Diagnostic::warning(
             PARSE_CODE,
             Location::whole("mtx"),
-            format!(
-                "header declares {nnz} entries, file holds {}",
-                entries.len()
-            ),
+            message,
         ));
     }
     out.extend(check_coo_parts("mtx.entries", n_rows, n_cols, &entries));
     out
 }
 
-fn parse_u32_line(line_no: usize, line: &str, out: &mut Vec<Diagnostic>) -> Vec<u32> {
+/// The whitespace-separated `T`s of one line; each field that does not
+/// parse becomes a diagnostic ("expected `what`").
+fn parse_line<T: std::str::FromStr>(
+    (line_no, line): (usize, &str),
+    what: &str,
+    out: &mut Vec<Diagnostic>,
+) -> Vec<T> {
     line.split_whitespace()
-        .filter_map(|f| match f.parse::<u32>() {
+        .filter_map(|f| match f.parse::<T>() {
             Ok(v) => Some(v),
             Err(_) => {
-                out.push(parse_error(line_no, format!("expected integer, got {f:?}")));
+                out.push(parse_error(line_no, format!("expected {what}, got {f:?}")));
                 None
             }
         })
@@ -173,28 +184,17 @@ fn check_csr_dump(contents: &str) -> Vec<Diagnostic> {
         ));
         return out;
     }
-    let Some((off_no, off_line)) = lines.next() else {
+    let Some(offsets_line) = lines.next() else {
         out.push(parse_error(0, "missing row_offsets line".to_string()));
         return out;
     };
-    let row_offsets = parse_u32_line(off_no, off_line, &mut out);
-    let Some((col_no, col_line)) = lines.next() else {
+    let row_offsets = parse_line(offsets_line, "integer", &mut out);
+    let Some(cols_line) = lines.next() else {
         out.push(parse_error(0, "missing col_indices line".to_string()));
         return out;
     };
-    let col_indices = parse_u32_line(col_no, col_line, &mut out);
-    let values: Option<Vec<f32>> = lines.next().map(|(val_no, val_line)| {
-        val_line
-            .split_whitespace()
-            .filter_map(|f| match f.parse::<f32>() {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    out.push(parse_error(val_no, format!("expected value, got {f:?}")));
-                    None
-                }
-            })
-            .collect()
-    });
+    let col_indices = parse_line(cols_line, "integer", &mut out);
+    let values: Option<Vec<f32>> = lines.next().map(|line| parse_line(line, "value", &mut out));
     out.extend(check_csr_parts(
         "csr",
         n_rows,

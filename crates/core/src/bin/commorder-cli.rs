@@ -13,10 +13,10 @@
 //! commorder-cli profile [--top N] [--flame PATH] [suite flags]
 //! ```
 //!
-//! `check` audits a data file (`.mtx`, `.csr`, `.perm`, `.trace`,
-//! telemetry `.jsonl`) against the workspace invariants and reports
-//! stable `CHK` diagnostics; the process exits non-zero when any
-//! error-severity finding is present.
+//! `check` audits a data file (`.mtx`, `.csr`, `.perm`, `.trace`, bench
+//! artifact `.json`, telemetry `.jsonl`) against the workspace
+//! invariants and reports stable `CHK` diagnostics; the process exits
+//! non-zero when any error-severity finding is present.
 //!
 //! `suite --telemetry <path>` streams structured telemetry (span
 //! timings, counters) as JSON Lines while the grid runs; the
@@ -32,7 +32,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use commorder::cli::{
-    parse_kernel, parse_technique, ProfileOptions, SuiteOptions, KERNEL_NAMES, TECHNIQUE_NAMES,
+    check_file_kinds, parse_kernel, parse_technique, ProfileOptions, SuiteOptions, KERNEL_NAMES,
+    TECHNIQUE_NAMES,
 };
 use commorder::obs;
 use commorder::prelude::*;
@@ -49,7 +50,8 @@ static COUNTING_ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  commorder-cli analyze  <in.mtx>\n  commorder-cli reorder  <in.mtx> <out.mtx> [technique]\n  commorder-cli simulate <in.mtx> [technique] [kernel]\n  commorder-cli spy      <in.mtx> [technique]\n  commorder-cli advise   <in.mtx>\n  commorder-cli check    <file> [--json]   (.mtx | .csr | .perm | .trace | .jsonl)\n  commorder-cli corpus [export <dir> | stats <name>]\n  commorder-cli suite [--threads N] [--corpus mini|standard|mega] [--techniques LIST] [--kernels LIST] [--max-matrices N] [--only NAME] [--json PATH|-] [--telemetry PATH] [--list]\n  commorder-cli profile [--top N] [--flame PATH] [suite flags]\n\ntechniques: {}\nkernels: {}\n\nsuite runs the full paper grid (corpus x 7 orderings x SpMV-CSR) on the\nengine: one job queue, largest matrix first, one shared community\ndetection per matrix for the RABBIT family; --threads defaults to the machine's parallelism and\nthe JSON report is byte-identical for any thread count (--telemetry adds\na sidecar JSONL event stream without changing it). --techniques replaces\nthe paper suite with a comma-separated registry list (e.g.\nrabbit++,boba,rcm++); --kernels replaces the SpMV-CSR kernel axis (e.g.\nspgemm,spgemm-cluster — spgemm-cluster executes the rows of each RABBIT\ncommunity as a block); --corpus mega selects the streamed million-row\ntier. profile runs the same grid under the telemetry registry and prints\nthe phase tree plus the --top hottest (matrix, technique) cells;\n--flame writes the deterministic collapsed-stack (folded) flamegraph. suite\n--list prints the resolved grid without running it. corpus stats\ngenerates one entry (any tier) and prints its shape — CI runs it under\nulimit -v as the streamed-generation memory tripwire.",
+        "usage:\n  commorder-cli analyze  <in.mtx>\n  commorder-cli reorder  <in.mtx> <out.mtx> [technique]\n  commorder-cli simulate <in.mtx> [technique] [kernel]\n  commorder-cli spy      <in.mtx> [technique]\n  commorder-cli advise   <in.mtx>\n  commorder-cli check    <file> [--json]   ({})\n  commorder-cli corpus [export <dir> | stats <name>]\n  commorder-cli suite [--threads N] [--corpus mini|standard|mega] [--techniques LIST] [--kernels LIST] [--max-matrices N] [--only NAME] [--json PATH|-] [--telemetry PATH] [--list]\n  commorder-cli profile [--top N] [--flame PATH] [suite flags]\n\ntechniques: {}\nkernels: {}\n\nsuite runs the full paper grid (corpus x 7 orderings x SpMV-CSR) on the\nengine: one job queue, largest matrix first, one shared community\ndetection per matrix for the RABBIT family; --threads defaults to the machine's parallelism and\nthe JSON report is byte-identical for any thread count (--telemetry adds\na sidecar JSONL event stream without changing it). --techniques replaces\nthe paper suite with a comma-separated registry list (e.g.\nrabbit++,boba,rcm++); --kernels replaces the SpMV-CSR kernel axis (e.g.\nspgemm,spgemm-cluster — spgemm-cluster executes the rows of each RABBIT\ncommunity as a block); --corpus mega selects the streamed million-row\ntier. profile runs the same grid under the telemetry registry and prints\nthe phase tree plus the --top hottest (matrix, technique) cells;\n--flame writes the deterministic collapsed-stack (folded) flamegraph. suite\n--list prints the resolved grid without running it. corpus stats\ngenerates one entry (any tier) and prints its shape — CI runs it under\nulimit -v as the streamed-generation memory tripwire.",
+        check_file_kinds(),
         TECHNIQUE_NAMES.join(" | "),
         KERNEL_NAMES.join(" | ")
     );

@@ -2,6 +2,7 @@
 //! and the analyze/reorder/simulate entry points, kept in the library so
 //! they are unit-testable.
 
+use commorder_check::ingest::ROUTES;
 use commorder_reorder::{technique_by_name, Reordering};
 use commorder_sparse::traffic::Kernel;
 
@@ -12,6 +13,14 @@ pub use commorder_reorder::TECHNIQUE_NAMES;
 /// Names accepted by [`parse_kernel`], for help text. Re-exported from
 /// the kernel registry so CLI help always matches what resolves.
 pub use commorder_sparse::traffic::KERNEL_NAMES;
+
+/// The file kinds `commorder-cli check` audits, for help text:
+/// `.mtx | .csr | …`, formatted from the one table the checker routes by
+/// ([`commorder_check::ingest::ROUTES`]).
+#[must_use]
+pub fn check_file_kinds() -> String {
+    ROUTES.map(|(ext, _)| format!(".{ext}")).join(" | ")
+}
 
 /// Resolves a (case-insensitive) technique name to an instance, via the
 /// technique registry with the CLI's fixed `0xC0DE` seed.
@@ -203,6 +212,21 @@ mod tests {
         for name in TECHNIQUE_NAMES {
             assert!(parse_technique(name).is_some(), "{name} must parse");
         }
+    }
+
+    #[test]
+    fn every_check_file_kind_reaches_a_validator_and_the_usage() {
+        let usage = check_file_kinds();
+        let listed: Vec<&str> = usage.split(" | ").collect();
+        let unknown = commorder_check::check_file_contents("f.unknown", "");
+        assert_eq!(unknown.codes(), ["CHK0001"]);
+        for (ext, _) in ROUTES {
+            assert!(listed.contains(&format!(".{ext}").as_str()), "{usage}");
+            let report = commorder_check::check_file_contents(&format!("f.{ext}"), "");
+            let text = report.render_text();
+            assert!(!text.contains("unknown fixture extension"), "{ext}: {text}");
+        }
+        assert_eq!(listed.len(), ROUTES.len());
     }
 
     #[test]
