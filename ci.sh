@@ -117,11 +117,14 @@ COMMORDER_CORPUS=mini ./target/release/commorder-cli \
   --flame /tmp/commorder-flame-t4.folded > /dev/null
 cmp /tmp/commorder-flame-t1.folded /tmp/commorder-flame-t4.folded
 
-echo "== obs-alloc counting allocator (feature-gated build + tests)"
+echo "== obs-alloc counting allocator (feature-gated build + tests + clippy)"
 # The allocation-tracking global allocator is off by default; this
-# keeps the feature-gated unsafe module compiling and its span-path
-# attribution tests green.
+# keeps the feature-gated unsafe module compiling, its span-path
+# attribution tests green, and the workspace's only unsafe code under
+# the same clippy deny-list as the rest (the clippy step above never
+# compiles it).
 cargo test -q -p commorder-obs --features obs-alloc
+cargo clippy -q -p commorder-obs --features obs-alloc --all-targets -- -D warnings
 
 echo "== streamed-generation tripwire (mega tier, ulimit -v 256 MiB)"
 # The mega tier must be emitted straight into CSR — a reintroduced

@@ -10,13 +10,17 @@
 //! table and cargo, `XT0401` (crate cycle) is implied by `XT0402`
 //! plus `XT0404`, and `XT0901` (`unsafe` in an engine crate without a
 //! `// SAFETY:` comment) only ever repeated an `XT0001` finding.
+//! Five more repeated a rustc or clippy lint the workspace enables:
+//! `XT0003` (`expect`) is `clippy::expect_used`, `XT0004` (`panic!`) is
+//! `clippy::panic`, `XT0006` (printing in a quiet crate) is
+//! `clippy::print_stdout`/`print_stderr`, and `XT0102` (the
+//! `missing_docs` pragma) and `XT0301` (undocumented `pub` item) are
+//! `missing_docs` plus `unreachable_pub`.
 //!
 //! | Range  | Pass                                              |
 //! |--------|---------------------------------------------------|
 //! | XT00xx | Token-stream call-site rules                      |
-//! | XT01xx | Crate-header pragmas                              |
 //! | XT02xx | Manifest opt-ins                                  |
-//! | XT03xx | API documentation                                 |
 //! | XT04xx | Layering and dependency-cycle analysis            |
 //! | XT05xx | Determinism lint (report-affecting modules)       |
 //! | XT06xx | Static telemetry-name cross-check                 |
@@ -28,24 +32,11 @@
 /// `unsafe` token in source (defence in depth on top of
 /// `forbid(unsafe_code)`).
 pub const UNSAFE_TOKEN: &str = "XT0001";
-/// `.expect(` in non-test library code (allowed when the proof is in
-/// the message and the file carries an allowlist justification).
-pub const EXPECT_CALL: &str = "XT0003";
-/// `panic!` in non-test library code.
-pub const PANIC_CALL: &str = "XT0004";
-/// `println!` / `eprintln!` in quiet library crates.
-pub const PRINT_CALL: &str = "XT0006";
 /// `collect_trace(` / `Vec<Access>` outside the documented shims.
 pub const TRACE_BUFFER: &str = "XT0007";
 
-/// Library `lib.rs` missing the `missing_docs` lint.
-pub const MISSING_DOCS_LINT: &str = "XT0102";
-
 /// Crate manifest missing the `[lints] workspace = true` opt-in.
 pub const MANIFEST_LINTS: &str = "XT0201";
-
-/// `pub` item without a doc comment.
-pub const UNDOCUMENTED_PUB: &str = "XT0301";
 
 /// Layering back-edge: a crate uses a crate at the same or a higher
 /// declared layer.
@@ -129,13 +120,8 @@ pub const PURE_CRATE_IO_EFFECT: &str = "XT1005";
 /// Every live code, in code order.
 pub const CODE_TABLE: &[&str] = &[
     UNSAFE_TOKEN,
-    EXPECT_CALL,
-    PANIC_CALL,
-    PRINT_CALL,
     TRACE_BUFFER,
-    MISSING_DOCS_LINT,
     MANIFEST_LINTS,
-    UNDOCUMENTED_PUB,
     LAYER_VIOLATION,
     MODULE_CYCLE,
     UNDECLARED_CRATE,

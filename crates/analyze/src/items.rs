@@ -268,7 +268,7 @@ fn item_end(src: &str, tokens: &[Token], code: &[usize], from: usize) -> usize {
 }
 
 /// Byte ranges of `macro_rules!` bodies (the outer `{ … }` block).
-/// `pub`-item and path-chain scans skip these: macro bodies are
+/// Path-chain and call-graph scans skip these: macro bodies are
 /// templates, not code, and `$crate::…` paths resolve at expansion
 /// sites.
 #[must_use]

@@ -64,12 +64,6 @@ impl TokenKind {
                 | TokenKind::DocBlockComment
         )
     }
-
-    /// `true` for `///`, `//!`, `/**`, `/*!` comments.
-    #[must_use]
-    pub fn is_doc_comment(self) -> bool {
-        matches!(self, TokenKind::DocLineComment | TokenKind::DocBlockComment)
-    }
 }
 
 /// One token: a kind plus the byte span and start position it covers.

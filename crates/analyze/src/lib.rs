@@ -9,11 +9,11 @@
 //! the token predicates every pass matches with); and seven passes
 //! produce findings with stable `XT` codes from [`codes`]:
 //!
-//! 1. [`source_rules`] — the call-site, crate-header, and doc rules
-//!    (`XT0001`–`XT0301`), now immune to string/comment false
+//! 1. [`source_rules`] — the call-site rules (`XT0001` `unsafe`,
+//!    `XT0007` trace buffers), immune to string/comment false
 //!    positives; what clippy, rustc or cargo already enforce
-//!    (`unwrap`, `todo!`, `forbid(unsafe_code)`, `[workspace.lints]`)
-//!    has no rule here;
+//!    (`unwrap`, `expect`, `panic!`, printing, `todo!`, missing docs,
+//!    `forbid(unsafe_code)`, `[workspace.lints]`) has no rule here;
 //! 2. [`layering`] — inter-crate and intra-crate dependency graphs
 //!    from `use`/path tokens, checked against a declared layer table
 //!    (`XT0402`/`XT0404`, which together rule out crate cycles) with
@@ -45,7 +45,8 @@
 //! runs it over this very crate.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::expect_used, clippy::panic)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod callgraph;
 pub mod codes;

@@ -26,14 +26,12 @@ pub use crate::model::{
     CallGraphReport, CrateData, EdgeAnchor, EffectRow, EffectsReport, FileData, FileRole, ReachNode,
 };
 
-/// Analyzer configuration: the declared layer table, quiet-crate set,
-/// and workspace-relative special paths.
+/// Analyzer configuration: the declared layer table and
+/// workspace-relative special paths.
 pub struct AnalyzerConfig {
     /// Crate directory name → layer height. Every edge must go from a
     /// strictly higher layer to a strictly lower one.
     pub layers: BTreeMap<String, u32>,
-    /// Crates whose library code must not print (`XT0006`).
-    pub quiet_crates: BTreeSet<String>,
     /// Workspace-relative path of the allowlist file.
     pub allowlist_rel: String,
     /// Workspace-relative path of the telemetry-name registry.
@@ -73,9 +71,6 @@ impl Default for AnalyzerConfig {
             ("root", 5),
             ("xtask", 5),
         ];
-        let quiet = [
-            "analyze", "cachesim", "exec", "gpumodel", "obs", "reorder", "sparse", "synth",
-        ];
         let hot_seeds = [
             "consume",
             "reorder",
@@ -85,7 +80,6 @@ impl Default for AnalyzerConfig {
         ];
         AnalyzerConfig {
             layers: layers.iter().map(|&(n, l)| (n.to_string(), l)).collect(),
-            quiet_crates: quiet.iter().map(|&n| n.to_string()).collect(),
             allowlist_rel: "analyze-allowlist.txt".to_string(),
             registry_rel: "crates/obs/src/names.rs".to_string(),
             engine_crates: ["exec".to_string()].into_iter().collect(),
@@ -125,20 +119,13 @@ pub fn analyze_workspace(root: &Path, config: &AnalyzerConfig) -> Result<Analysi
                     .to_string(),
             ));
         }
-        let is_quiet_crate = config.quiet_crates.contains(&c.dir_name);
         for f in &c.files {
             findings.extend(source_rules::scan(&SourceContext {
                 src: &f.src,
                 tokens: &f.tokens,
                 rel: &f.rel,
-                is_bin: f.is_bin,
-                is_quiet: is_quiet_crate && !f.is_bin,
                 test_ranges: &f.test_ranges,
-                macro_ranges: &f.macro_ranges,
             }));
-            if f.rel.ends_with("/src/lib.rs") {
-                findings.extend(source_rules::check_lib_header(&f.src, &f.tokens, &f.rel));
-            }
         }
     }
 

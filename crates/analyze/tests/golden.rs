@@ -153,17 +153,6 @@ fn every_code_is_reproduced_by_some_fixture() {
             .unwrap_or_else(|e| panic!("fixture {name}: {e}"));
         seen.extend(report.findings.iter().map(|f| f.code.to_string()));
     }
-    // XT0004 is deliberately absent from the reports (it is the
-    // allowlist-application demo) but reproduced by the suppressed
-    // fixture file, so assert it separately via a no-allowlist config.
-    let config = AnalyzerConfig {
-        allowlist_rel: "no-such-allowlist.txt".to_string(),
-        ..AnalyzerConfig::default()
-    };
-    let unsuppressed = analyze_workspace(&fixture_root("source_rules"), &config)
-        .unwrap_or_else(|e| panic!("fixture source_rules: {e}"));
-    seen.extend(unsuppressed.findings.iter().map(|f| f.code.to_string()));
-
     let missing: Vec<&str> = commorder_analyze::codes::CODE_TABLE
         .iter()
         .copied()

@@ -73,7 +73,7 @@ mod reference {
         stats.writebacks += u64::from(w.dirty);
     }
 
-    pub struct Lru {
+    pub(crate) struct Lru {
         config: CacheConfig,
         ways: Vec<Way>,
         stats: CacheStats,
@@ -82,7 +82,7 @@ mod reference {
     }
 
     impl Lru {
-        pub fn new(config: CacheConfig) -> Self {
+        pub(crate) fn new(config: CacheConfig) -> Self {
             Lru {
                 config,
                 ways: vec![Way::default(); config.num_lines()],
@@ -92,7 +92,7 @@ mod reference {
             }
         }
 
-        pub fn access(&mut self, acc: Access) -> AccessOutcome {
+        pub(crate) fn access(&mut self, acc: Access) -> AccessOutcome {
             self.clock += 1;
             self.stats.accesses += 1;
             let assoc = self.config.associativity as usize;
@@ -142,7 +142,7 @@ mod reference {
 
         /// Resident dirty lines in slot order: each fill takes the first
         /// empty way, then the LRU victim's way.
-        pub fn dirty_lines(&self) -> Vec<u64> {
+        pub(crate) fn dirty_lines(&self) -> Vec<u64> {
             self.ways
                 .iter()
                 .filter(|w| w.valid && w.dirty)
@@ -150,7 +150,7 @@ mod reference {
                 .collect()
         }
 
-        pub fn finish(mut self) -> CacheStats {
+        pub(crate) fn finish(mut self) -> CacheStats {
             flush(&self.ways, &mut self.stats);
             self.stats
         }
@@ -159,7 +159,7 @@ mod reference {
     /// An L1 + L2 stack of reference LRUs with the hierarchy's
     /// forwarding: dirty L1 victims are written into L2, L1 read misses
     /// read L2, and at the end L1's dirty lines drain into L2.
-    pub fn hierarchy(l1: CacheConfig, l2: CacheConfig, trace: &[Access]) -> HierarchyStats {
+    pub(crate) fn hierarchy(l1: CacheConfig, l2: CacheConfig, trace: &[Access]) -> HierarchyStats {
         let mut upper = Lru::new(l1);
         let mut lower = Lru::new(l2);
         for &acc in trace {
@@ -180,7 +180,7 @@ mod reference {
         }
     }
 
-    pub struct Plru {
+    pub(crate) struct Plru {
         config: CacheConfig,
         ways: Vec<Way>,
         tree: Vec<bool>,
@@ -189,7 +189,7 @@ mod reference {
     }
 
     impl Plru {
-        pub fn new(config: CacheConfig) -> Self {
+        pub(crate) fn new(config: CacheConfig) -> Self {
             let assoc = config.associativity as usize;
             Plru {
                 config,
@@ -230,7 +230,7 @@ mod reference {
             }
         }
 
-        pub fn access(&mut self, acc: Access) -> bool {
+        pub(crate) fn access(&mut self, acc: Access) -> bool {
             self.stats.accesses += 1;
             let assoc = self.config.associativity as usize;
             let (set, tag) = split(&self.config, acc.addr());
@@ -264,13 +264,13 @@ mod reference {
             false
         }
 
-        pub fn finish(mut self) -> CacheStats {
+        pub(crate) fn finish(mut self) -> CacheStats {
             flush(&self.ways, &mut self.stats);
             self.stats
         }
     }
 
-    pub fn belady(config: CacheConfig, trace: &[Access]) -> CacheStats {
+    pub(crate) fn belady(config: CacheConfig, trace: &[Access]) -> CacheStats {
         const NEVER: u64 = u64::MAX;
         let mut next = vec![NEVER; trace.len()];
         let mut last_seen: HashMap<u64, usize> = HashMap::new();
@@ -333,7 +333,7 @@ mod reference {
         stats
     }
 
-    pub fn classify(config: CacheConfig, trace: &[Access]) -> MissClasses {
+    pub(crate) fn classify(config: CacheConfig, trace: &[Access]) -> MissClasses {
         let mut set_assoc = Lru::new(config);
         // Fully-associative LRU: most recent at the back.
         let mut recency: Vec<u64> = Vec::new();

@@ -42,7 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 pub mod bench;
 pub mod codes;

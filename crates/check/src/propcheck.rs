@@ -43,6 +43,10 @@ pub fn case_seed(name: &str, case: u64) -> u64 {
 ///
 /// Re-panics any property failure, prefixed with the case name and seed
 /// needed to reproduce it.
+#[expect(
+    clippy::panic,
+    reason = "a failing property re-panics with the case and seed that reproduce it: that panic is the harness's report"
+)]
 pub fn run_cases<F: FnMut(&mut Rng)>(name: &str, cases: u64, mut property: F) {
     for case in 0..cases {
         let seed = case_seed(name, case);
@@ -64,6 +68,10 @@ pub fn run_cases<F: FnMut(&mut Rng)>(name: &str, cases: u64, mut property: F) {
 /// A random valid CSR matrix with up to `max_n` rows/columns and about
 /// `avg_degree` entries per row (duplicates merged, so possibly fewer).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "coords are drawn below n, so the COO is valid and so is its CSR"
+)]
 pub fn arb_csr(rng: &mut Rng, max_n: u32, avg_degree: u32) -> CsrMatrix {
     let n = 1 + rng.gen_u32(max_n.max(1));
     let target = (u64::from(n) * u64::from(avg_degree.max(1))) as usize;
@@ -81,6 +89,10 @@ pub fn arb_csr(rng: &mut Rng, max_n: u32, avg_degree: u32) -> CsrMatrix {
 /// A random undirected (symmetric) graph as CSR, the input shape every
 /// reordering technique expects.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "coords are drawn below n, so the COO is valid and so is its CSR"
+)]
 pub fn arb_graph(rng: &mut Rng, max_n: u32, avg_degree: u32) -> CsrMatrix {
     let n = 2 + rng.gen_u32(max_n.max(2));
     let target = (u64::from(n) * u64::from(avg_degree.max(1)) / 2) as usize;
@@ -103,6 +115,10 @@ pub fn arb_graph(rng: &mut Rng, max_n: u32, avg_degree: u32) -> CsrMatrix {
 /// one off-diagonal entry then loses its mirror or has its value negated
 /// (different bits, so the matrix is nearly but not exactly mirrored).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "coords are copied from a valid n x n matrix, so the COO is valid and so is its CSR"
+)]
 pub fn arb_mirrored(rng: &mut Rng, max_n: u32, avg_degree: u32, perturb: bool) -> CsrMatrix {
     let base = arb_csr(rng, max_n, avg_degree);
     let mut entries = Vec::with_capacity(2 * base.nnz());
@@ -153,6 +169,10 @@ pub fn brute_union(a: &CsrMatrix, keep_diagonal: bool) -> Vec<(u32, u32, f32)> {
 /// A uniformly random permutation of `0..n` (Fisher–Yates over the
 /// identity).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "a shuffle of the identity is a bijection"
+)]
 pub fn arb_perm(rng: &mut Rng, n: u32) -> Permutation {
     let mut ids: Vec<u32> = (0..n).collect();
     rng.shuffle(&mut ids);

@@ -110,6 +110,10 @@ pub fn check_next_use(trace: &[Access], next: &[u64], config: &CacheConfig) -> V
     }
     for (i, a) in trace.iter().enumerate() {
         let pos = &positions[&(a.addr() / line)];
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop above pushed every trace index into its line's position list"
+        )]
         let at = pos.binary_search(&i).expect("index recorded above");
         let expected = pos.get(at + 1).map_or(u64::MAX, |&j| j as u64);
         if next[i] != expected {

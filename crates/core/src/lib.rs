@@ -39,7 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 pub use commorder_cachesim as cachesim;
 pub use commorder_check as check;

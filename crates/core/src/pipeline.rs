@@ -268,6 +268,10 @@ impl Pipeline {
     /// [`GpuSpec`] constructors never do); use [`Pipeline::builder`] for
     /// fallible construction of custom platforms.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: every built-in GpuSpec passes builder validation, and Pipeline::builder is the fallible path"
+    )]
     pub fn new(gpu: GpuSpec) -> Self {
         Pipeline::builder(gpu)
             .build()

@@ -191,6 +191,10 @@ impl Engine {
     /// whole batch drains (workers never die mid-batch — the panic is
     /// contained at the job boundary and carried out as a
     /// [`JobFailure`]).
+    #[expect(
+        clippy::panic,
+        reason = "documented panic: re-raises a contained job panic after the batch drains; try_run_with_stats is the panic-free API"
+    )]
     pub fn run_with_stats<T, R, F>(&self, items: Vec<T>, f: F) -> (Vec<JobOutput<R>>, EngineStats)
     where
         T: Send,
@@ -242,6 +246,10 @@ impl Engine {
                 let f = &f;
                 let per_worker = &per_worker;
                 scope.spawn(move || loop {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "jobs run outside the lock and catch_unwind contains their panics, so the queue mutex never poisons"
+                    )]
                     let next = queue
                         .lock()
                         .expect("no worker panics while holding the queue lock")
@@ -287,6 +295,10 @@ impl Engine {
         for (index, outcome) in receiver {
             slots[index] = Some(outcome);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "every worker sends exactly one outcome per job it takes, and the scope joins them all before the slots are read"
+        )]
         let results: Vec<Result<JobOutput<R>, JobFailure>> = slots
             .into_iter()
             .map(|slot| slot.expect("every submitted job reports exactly once"))

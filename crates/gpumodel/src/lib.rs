@@ -35,7 +35,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::expect_used, clippy::panic)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use commorder_cachesim::CacheConfig;
 use commorder_sparse::traffic::Kernel;

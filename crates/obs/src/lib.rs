@@ -40,7 +40,8 @@
 // the crate still forbids unsafe code outright.
 #![cfg_attr(not(feature = "obs-alloc"), forbid(unsafe_code))]
 #![cfg_attr(feature = "obs-alloc", deny(unsafe_code))]
-#![warn(missing_docs)]
+#![deny(clippy::expect_used, clippy::panic)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 #[cfg(feature = "obs-alloc")]
 pub mod alloc;

@@ -192,7 +192,7 @@ impl Reordering for Dbg {
 /// in-degree ("typically defined as nodes with degree greater than the
 /// average degree of the graph", §VI-A).
 #[must_use]
-pub fn hub_mask(a: &CsrMatrix) -> Vec<bool> {
+pub(crate) fn hub_mask(a: &CsrMatrix) -> Vec<bool> {
     let degrees = a.in_degrees();
     let mean = if a.n_rows() == 0 {
         0.0

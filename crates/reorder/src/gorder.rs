@@ -198,6 +198,10 @@ impl Reordering for Gorder {
         let mut order: Vec<u32> = Vec::with_capacity(n as usize);
 
         // Seed with the maximum-degree vertex (reference implementation).
+        #[expect(
+            clippy::expect_used,
+            reason = "n == 0 returned above, so 0..n is non-empty"
+        )]
         let start = (0..n).max_by_key(|&v| sym.row_degree(v)).expect("n > 0");
         heap.extract(start);
         order.push(start);

@@ -99,6 +99,10 @@ impl Reordering for SlashBurn {
             // Giant component keeps being worked on; the rest are packed
             // at the back, largest-first so bigger fragments sit closer to
             // the still-active region.
+            #[expect(
+                clippy::expect_used,
+                reason = "working is non-empty here and each working vertex lands in a component"
+            )]
             let giant = comps
                 .iter()
                 .enumerate()

@@ -116,6 +116,10 @@ impl CscMatrix {
 
     /// Converts back to CSR (`O(nnz + n)`).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "CSC arrays are the CSR arrays of the transpose, and both constructors take them from a validated CSR"
+    )]
     pub fn to_csr(&self) -> CsrMatrix {
         // CSC of A has the same arrays as CSR of Aᵀ; transposing that CSR
         // yields CSR of A.

@@ -72,6 +72,10 @@ impl CsrMatrix {
                 found: format!("values.len() == {}", values.len()),
             });
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the length check above leaves row_offsets with n_rows + 1 >= 1 entries"
+        )]
         let last = *row_offsets.last().expect("non-empty by construction");
         if last as usize != col_indices.len() {
             return Err(SparseError::InvalidOffsets {

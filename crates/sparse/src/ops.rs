@@ -246,6 +246,10 @@ fn merge_row(
 /// internal weight); the reordering techniques drop them up front, like the
 /// reference Rabbit Order implementation.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "dropping entries from a valid CSR keeps its offsets monotone and its columns in bounds"
+)]
 pub fn remove_self_loops(a: &CsrMatrix) -> CsrMatrix {
     let mut row_offsets = Vec::with_capacity(a.n_rows() as usize + 1);
     row_offsets.push(0u32);

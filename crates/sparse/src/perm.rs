@@ -145,6 +145,10 @@ impl Permutation {
     ///
     /// Panics if `new as usize >= self.len()`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the assert bounds new and a validated permutation is a bijection, so some old id maps to it"
+    )]
     pub fn old_of(&self, new: u32) -> u32 {
         assert!(
             (new as usize) < self.new_ids.len(),

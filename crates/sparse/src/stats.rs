@@ -28,6 +28,10 @@ impl DegreeStats {
     ///
     /// Returns an all-zero summary for an empty input.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the empty input returned early, so sorted has a last element"
+    )]
     pub fn from_degrees(degrees: &[u32]) -> DegreeStats {
         if degrees.is_empty() {
             return DegreeStats {

@@ -110,6 +110,10 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `cdf` is empty or ends with a non-positive total.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: the caller passes a non-empty cdf with no NaN weights"
+    )]
     pub fn sample_cdf(&mut self, cdf: &[f64]) -> usize {
         let total = *cdf.last().expect("cdf must be non-empty");
         assert!(total > 0.0, "cdf total must be positive");

@@ -8,7 +8,7 @@
 //! `xtask bench --compare`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 pub mod artifact;
 pub mod bench;

@@ -1,4 +1,4 @@
-//! Fixture: the crate-level pragmas are missing.
+//! Fixture: the manifest does not opt into the workspace lint table.
 
-/// Documented, so only the header findings anchor here.
+/// Clean, so only the manifest finding anchors on this crate.
 pub fn quiet() {}

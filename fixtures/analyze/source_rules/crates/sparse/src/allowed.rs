@@ -1,10 +1,7 @@
-//! The allowlist suppresses this file's `panic!` finding; the same
+//! The allowlist suppresses this file's trace-buffer finding; the same
 //! rule still fires in `bad.rs`, so the golden proves both paths.
 
 /// Allowlisted call site.
-pub fn guarded(x: u32) -> u32 {
-    if x == 0 {
-        panic!("fixture: allowlisted");
-    }
-    x - 1
+pub fn guarded(trace: &[u32]) -> usize {
+    collect_trace(trace)
 }

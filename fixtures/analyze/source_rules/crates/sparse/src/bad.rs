@@ -26,5 +26,3 @@ pub fn buffers(accesses: Vec<Access>) -> usize {
     let trace = collect_trace(&accesses);
     accesses.len() + trace
 }
-
-pub fn undocumented() {}

@@ -1,7 +1,6 @@
 //! Fixture: seeded source-rule violations live in [`bad`].
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod allowed;
 pub mod bad;

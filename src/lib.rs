@@ -1,6 +1,6 @@
 //! Umbrella package hosting the workspace's examples and integration tests.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::expect_used, clippy::panic)]
 
 pub use commorder;
